@@ -49,8 +49,8 @@ compact-smoke:
 	$(PYTHON) -m repro compact --smoke
 
 # serving smoke: boot a live KVServer, drive insert/query/erase through
-# a real client, check cache-coherence across an overwrite and the
-# hit/miss counters (repro serve exits 1 on any gate miss)
+# a real client, check erased keys are not found, typed faults and
+# admission backpressure (repro serve exits 1 on any gate miss)
 serve-smoke:
 	$(PYTHON) -m repro serve --smoke
 

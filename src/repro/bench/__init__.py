@@ -59,7 +59,6 @@ from .wallclock import (
 from .serving import (
     ServingRecord,
     format_serving_records,
-    run_hit_rate_sweep,
     run_serving_suite,
 )
 
@@ -103,6 +102,5 @@ __all__ = [
     "distribution_speedup",
     "ServingRecord",
     "run_serving_suite",
-    "run_hit_rate_sweep",
     "format_serving_records",
 ]

@@ -1,22 +1,14 @@
-"""Measured serving-layer benchmarks: Zipf clients vs the cache tier.
+"""Measured serving-layer benchmark: Zipf clients against one server.
 
-The acceptance experiment for the KV front-end: ``clients`` concurrent
-:class:`~repro.serve.client.KVClient` threads replay the same Zipf(s)
-query traffic against one :class:`~repro.serve.server.KVServer`, once
-with the hot-key cache tier off (every key is a cascade) and once with
-it on (hot keys answered at the front).  Rows record measured wall
-clock, served queries/s, client-observed p50/p95 latency, and the
-server's hit/miss counters — merged into ``BENCH_wallclock.json``
-alongside the engine rows.
+``clients`` concurrent :class:`~repro.serve.client.KVClient` threads
+replay Zipf(s) query traffic against one
+:class:`~repro.serve.server.KVServer`.  The row records measured wall
+clock, served queries/s and client-observed p50/p95 latency — merged
+into ``BENCH_wallclock.json`` alongside the engine rows.
 
-Both runs answer every query from the same prefilled universe, and the
-harness cross-checks the returned values against the prefill ground
-truth — the speedup is only meaningful at equal correctness.
-
-``run_hit_rate_sweep`` drives the EXPERIMENTS.md curve: measured cache
-hit rate as the skew exponent s sweeps from uniform (0) past classical
-Zipf (1.0) — the cache tier's win grows exactly as fast as the traffic
-concentrates.
+Every query is answered from a prefilled universe, and the harness
+cross-checks the returned values against the prefill ground truth — a
+rate is only meaningful at equal correctness.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +31,11 @@ from ..workloads.distributions import random_values
 __all__ = [
     "ServingRecord",
     "run_serving_suite",
-    "run_hit_rate_sweep",
     "format_serving_records",
 ]
+
+#: untimed query batches per client before the start barrier
+_WARMUP_BATCHES = 2
 
 
 @dataclass
@@ -54,17 +47,14 @@ class ServingRecord:
     m: int  #: simulated GPUs behind the server
     clients: int
     s: float  #: Zipf skew exponent of the traffic
-    cache: str  #: "on" | "off"
     ops_per_s: float
     seconds: float
     p50_ms: float = 0.0
     p95_ms: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    hit_rate: float = 0.0
     cpus: int = 0
 
-    schema_version = 1
+    # v2: the cache on/off column and hit/miss fields removed
+    schema_version = 2
 
     def __post_init__(self):
         if not self.cpus:
@@ -80,14 +70,10 @@ class ServingRecord:
                 "m": self.m,
                 "clients": self.clients,
                 "s": self.s,
-                "cache": self.cache,
                 "ops_per_s": self.ops_per_s,
                 "seconds": self.seconds,
                 "p50_ms": self.p50_ms,
                 "p95_ms": self.p95_ms,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "hit_rate": self.hit_rate,
                 "cpus": self.cpus,
             },
         )
@@ -107,10 +93,10 @@ def _client_worker(
     Each batch arrives as ``(keys, expected_values)`` with the ground
     truth precomputed, so the timed loop is purely protocol + a memcmp
     — the harness stays off the clock's critical path.  ``warmup``
-    batches run before the start barrier (cache fill + allocator warm)
-    and are excluded from the measurement.  Presplit is off: the
+    batches run before the start barrier (allocator and plan-cache
+    warm) and are excluded from the measurement.  Presplit is off: the
     server coalesces and shards anyway, so the client-side sort would
-    only add identical overhead to both the on and off rows.
+    only add overhead.
     """
     try:
         with KVClient(
@@ -141,26 +127,22 @@ def _client_worker(
             pass
 
 
-def _run_serving_once(
+def run_serving_suite(
     *,
-    cache: bool,
-    num_gpus: int,
-    capacity: int,
-    clients: int,
-    batches_per_client: int,
-    batch_size: int,
-    s: float,
-    universe: int,
-    cache_size: int,
-    seed: int,
-    warmup_batches: int = 2,
-) -> ServingRecord:
+    num_gpus: int = 4,
+    clients: int = 4,
+    batches_per_client: int = 16,
+    batch_size: int = 32768,
+    s: float = 1.0,
+    universe: int = 4096,
+    seed: int = 11,
+) -> list[ServingRecord]:
+    """One served-query row for ``clients`` Zipf(s) query streams."""
+    capacity = max(universe * 2, 1 << 12)
     table = DistributedHashTable(capacity, topology=p100_nvlink_node(num_gpus))
     server = KVServer(
         table,
         own_table=True,
-        cache=cache,
-        cache_size=cache_size,
         batch_window=0.001,
         # let one coalesced cascade hold every client's in-flight batch —
         # the cascade's fixed cost is what coalescing exists to amortize
@@ -186,7 +168,7 @@ def _run_serving_once(
             want = expected_values[np.searchsorted(expected_keys, keys)]
             return keys, want
 
-        rounds = warmup_batches + batches_per_client
+        rounds = _WARMUP_BATCHES + batches_per_client
         per_client = [
             [make_batch(c, b) for b in range(rounds)] for c in range(clients)
         ]
@@ -199,8 +181,8 @@ def _run_serving_once(
                 args=(
                     server.address,
                     f"bench-{c}",
-                    per_client[c][:warmup_batches],
-                    per_client[c][warmup_batches:],
+                    per_client[c][:_WARMUP_BATCHES],
+                    per_client[c][_WARMUP_BATCHES:],
                     latencies,
                     errors,
                     barrier,
@@ -212,143 +194,46 @@ def _run_serving_once(
         for thread in threads:
             thread.start()
         barrier.wait()
-        before = server.stats.snapshot()
         t0 = time.perf_counter()
         for thread in threads:
             thread.join()
         seconds = time.perf_counter() - t0
         if errors:
             raise errors[0]
-        counters = server.stats.snapshot()
-
-        def delta(name: str) -> int:
-            return int(counters.get(name, 0)) - int(before.get(name, 0))
-
-        hits = delta("serve.cache.hits")
-        misses = delta("serve.cache.misses")
         total = clients * batches_per_client * batch_size
         quantiles = (
             np.quantile(np.asarray(latencies), [0.5, 0.95]) * 1e3
             if latencies
             else np.zeros(2)
         )
-        return ServingRecord(
-            bench="serving_query",
-            n=total,
-            m=num_gpus,
-            clients=clients,
-            s=s,
-            cache="on" if cache else "off",
-            ops_per_s=total / seconds if seconds > 0 else 0.0,
-            seconds=seconds,
-            p50_ms=float(quantiles[0]),
-            p95_ms=float(quantiles[1]),
-            cache_hits=hits,
-            cache_misses=misses,
-            hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-        )
+        return [
+            ServingRecord(
+                bench="serving_query",
+                n=total,
+                m=num_gpus,
+                clients=clients,
+                s=s,
+                ops_per_s=total / seconds if seconds > 0 else 0.0,
+                seconds=seconds,
+                p50_ms=float(quantiles[0]),
+                p95_ms=float(quantiles[1]),
+            )
+        ]
     finally:
         server.close()
 
 
-def run_serving_suite(
-    *,
-    num_gpus: int = 4,
-    clients: int = 4,
-    batches_per_client: int = 16,
-    batch_size: int = 32768,
-    s: float = 1.0,
-    universe: int = 4096,
-    cache_size: int | None = None,
-    seed: int = 11,
-) -> list[ServingRecord]:
-    """Cache-off vs cache-on rows for the same Zipf(s) client traffic.
-
-    The cache-off run is the control: identical clients, batches, and
-    correctness checks, every query a cascade.  The default cache holds
-    three quarters of the universe — comfortably the Zipf(1.0) head,
-    but never the full key set — so the on-row's speedup is the tier
-    absorbing hot traffic, not mirroring the table.
-    """
-    capacity = max(universe * 2, 1 << 12)
-    if cache_size is None:
-        cache_size = max(universe * 3 // 4, 1)
-    records = []
-    for cache in (False, True):
-        records.append(
-            _run_serving_once(
-                cache=cache,
-                num_gpus=num_gpus,
-                capacity=capacity,
-                clients=clients,
-                batches_per_client=batches_per_client,
-                batch_size=batch_size,
-                s=s,
-                universe=universe,
-                cache_size=cache_size,
-                seed=seed,
-            )
-        )
-    return records
-
-
-def run_hit_rate_sweep(
-    *,
-    s_values: Sequence[float] = (0.0, 0.5, 0.8, 1.0, 1.2, 1.5),
-    num_gpus: int = 4,
-    clients: int = 2,
-    batches_per_client: int = 8,
-    batch_size: int = 16384,
-    universe: int = 4096,
-    cache_size: int | None = None,
-    seed: int = 11,
-) -> list[ServingRecord]:
-    """Measured hit rate vs skew: the EXPERIMENTS.md curve rows."""
-    if cache_size is None:
-        cache_size = max(universe * 3 // 4, 1)
-    records = []
-    for s in s_values:
-        record = _run_serving_once(
-            cache=True,
-            num_gpus=num_gpus,
-            capacity=max(universe * 2, 1 << 12),
-            clients=clients,
-            batches_per_client=batches_per_client,
-            batch_size=batch_size,
-            s=s,
-            universe=universe,
-            cache_size=cache_size,
-            seed=seed,
-        )
-        record.bench = "serving_hitrate"
-        records.append(record)
-    return records
-
-
 def format_serving_records(records: list[ServingRecord]) -> str:
-    """Fixed-width rows with the cache-on speedup vs the off control."""
-    off = {
-        (r.bench, r.n, r.clients, r.s): r.seconds
-        for r in records
-        if r.cache == "off"
-    }
+    """Fixed-width served-query rows."""
     lines = [
-        f"{'bench':<16} {'n':>8} {'cl':>3} {'s':>5} {'cache':<6} "
-        f"{'seconds':>8} {'Mops/s':>7} {'p50 ms':>7} {'p95 ms':>7} "
-        f"{'hit rate':>8} {'vs off':>7}"
+        f"{'bench':<16} {'n':>8} {'cl':>3} {'s':>5} "
+        f"{'seconds':>8} {'Mops/s':>7} {'p50 ms':>7} {'p95 ms':>7}"
     ]
     for r in records:
-        base = off.get((r.bench, r.n, r.clients, r.s))
-        speedup = (
-            f"{base / r.seconds:>6.2f}x"
-            if base and r.seconds and r.cache == "on"
-            else f"{'-':>7}"
-        )
         lines.append(
             f"{r.bench:<16} {r.n:>8} {r.clients:>3} {r.s:>5.2f} "
-            f"{r.cache:<6} {r.seconds:>8.3f} {r.ops_per_s / 1e6:>7.3f} "
-            f"{r.p50_ms:>7.2f} {r.p95_ms:>7.2f} {r.hit_rate:>8.2f} "
-            f"{speedup}"
+            f"{r.seconds:>8.3f} {r.ops_per_s / 1e6:>7.3f} "
+            f"{r.p50_ms:>7.2f} {r.p95_ms:>7.2f}"
         )
     if records:
         lines.append(f"(host cpus: {records[0].cpus})")

@@ -235,13 +235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             batch_size=4096 if args.smoke else 32768,
         )
         print(format_serving_records(serving))
-        off = next(r for r in serving if r.cache == "off")
-        on = next(r for r in serving if r.cache == "on")
-        if off.seconds and on.seconds:
-            print(
-                f"serving cache lift: {off.seconds / on.seconds:.2f}x "
-                f"at {on.hit_rate:.0%} hit rate"
-            )
         records.extend(serving)
     if args.out:
         path = write_results(records, args.out)
@@ -859,11 +852,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _serve_smoke() -> int:
-    """The ``repro serve --smoke`` CI gate: correctness + faults + cache.
+    """The ``repro serve --smoke`` CI gate: correctness + faults.
 
-    Four gates on one in-process server: (1) insert/query/erase round
-    trips through the socket layer; (2) repeated hot-key traffic is
-    answered by the cache tier and invalidation keeps it coherent;
+    Four gates on in-process servers: (1) insert/query/erase round
+    trips through the socket layer; (2) erased keys are not found;
     (3) a malformed frame draws a typed error, never a hang or a
     corrupted table; (4) a saturated admission budget rejects with
     ``OVERLOADED`` and counts ``serve.rejected``.
@@ -891,19 +883,19 @@ def _serve_smoke() -> int:
         values = rng.integers(0, 1 << 32, size=512, dtype=np.uint32)
         with KVClient(server.address, name="smoke") as client:
             client.insert(keys, values)
-            for _ in range(3):  # repeats promote the keys into the cache
-                got, found = client.query(keys)
+            got, found = client.query(keys)
             if not (found.all() and (got == values).all()):
                 failures.append("serve: query round-trip mismatch")
             erased = client.erase(keys[:64])
             if int(erased.sum()) != 64:
                 failures.append("serve: erase round-trip mismatch")
-            _, refound = client.query(keys[:64])
-            if refound.any():
-                failures.append("serve: cache served erased keys (stale)")
-            counters = client.stats()["counters"]
-        if not counters.get("serve.cache.hits"):
-            failures.append("serve: hot keys never hit the cache tier")
+
+            # gate 2: erased keys are gone, the rest still answer
+            _, refound = client.query(keys)
+            if refound[:64].any():
+                failures.append("serve: erased keys still found")
+            if not refound[64:].all():
+                failures.append("serve: erase dropped keys it was not given")
 
         # gate 3: garbage bytes → typed error frame, connection closed
         raw = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
@@ -950,7 +942,7 @@ def _serve_smoke() -> int:
             print(f"FAIL {failure}")
         return 1
     print(
-        "serve smoke: round-trips, cache coherence, typed faults, "
+        "serve smoke: round-trips, erased-not-found, typed faults, "
         "and admission backpressure all hold"
     )
     return 0
@@ -968,8 +960,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_gpus=args.m,
         capacity=args.capacity,
         address=address,
-        cache=not args.no_cache,
-        cache_size=args.cache_size,
         batch_window=args.batch_window,
     ).start()
     addr = server.address
@@ -1028,15 +1018,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
             _, found = client.query(keys)
             total += int(keys.size)
         seconds = timelib.perf_counter() - t0
-        counters = client.stats()["counters"]
-        hits = counters.get("serve.cache.hits", 0)
-        misses = counters.get("serve.cache.misses", 0)
-        rate = hits / (hits + misses) if hits + misses else 0.0
         print(
             f"{total} Zipf(s={args.s}) queries in {seconds:.3f} s "
             f"({total / seconds / 1e6:.3f} Mops/s), "
-            f"found {int(found.sum())}/{found.size} in last batch, "
-            f"server hit rate {rate:.0%}"
+            f"found {int(found.sum())}/{found.size} in last batch"
         )
     return 0
 
@@ -1141,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--smoke", action="store_true",
-        help="in-process serve/fault/cache gate for CI",
+        help="in-process serve/fault/backpressure gate for CI",
     )
     serve.add_argument("--m", type=int, default=4, help="GPUs behind the server")
     serve.add_argument(
@@ -1155,12 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=None,
         help="TCP port (0 picks one); overrides the unix default",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true", help="disable the hot-key cache tier"
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=4096, help="hot-key cache capacity"
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.002,

@@ -111,11 +111,6 @@ class CascadeReport:
     #: "compiled") — post-fallback, so rows record the truth even when
     #: "compiled" was requested on a host without a JIT provider
     kernels: str = "fast"
-    #: serving-layer hot-key cache accounting for the batch this cascade
-    #: served: keys answered by the cache tier vs. keys that reached the
-    #: cascade (0/num_ops outside the serving path)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: slot storage policy of the shards this cascade ran against
     layout: str = "aos"
     #: modelled wire/storage bytes per pair — ``PAIR_BYTES`` for packed
@@ -127,7 +122,8 @@ class CascadeReport:
 
     # v2: hierarchical (intra/inter) exchange charges + num_nodes
     # v3: layout / record_bytes / table_bytes (compact slot layout)
-    schema_version = 3
+    # v4: the serving cache hit/miss fields removed (no cache tier)
+    schema_version = 4
 
     @property
     def load_imbalance(self) -> float:
@@ -155,8 +151,6 @@ class CascadeReport:
                 "layout": self.layout,
                 "record_bytes": self.record_bytes,
                 "table_bytes": self.table_bytes,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
                 "h2d_bytes": self.h2d_bytes,
                 "d2h_bytes": self.d2h_bytes,
                 "alltoall_bytes": self.alltoall_bytes,

@@ -82,11 +82,6 @@ class MetricsRegistry:
         )
         self.inc(f"cascade.{op}.kernel_wall_seconds", report.kernel_wall_seconds)
         self.set_gauge(f"cascade.{op}.load_imbalance", report.load_imbalance)
-        cache_hits = getattr(report, "cache_hits", 0)
-        cache_misses = getattr(report, "cache_misses", 0)
-        if cache_hits or cache_misses:
-            self.inc(f"cascade.{op}.cache_hits", cache_hits)
-            self.inc(f"cascade.{op}.cache_misses", cache_misses)
         for rep in report.kernel_reports:
             self.observe_kernel(rep)
         for rep in report.multisplit_reports:

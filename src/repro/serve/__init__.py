@@ -7,17 +7,16 @@ TCP-socket) server in front of a
 a length-prefixed binary protocol (:mod:`repro.serve.protocol`) with
 batched insert/query/erase frames.  The server coalesces concurrent
 client requests into whole cascades under a batch window + admission
-budget (:mod:`repro.serve.server`), and a skew-aware hot-key cache tier
-(:mod:`repro.serve.cache`) absorbs Zipfian read traffic before it ever
-reaches a shard.  Clients (:mod:`repro.serve.client`) know the server's
+budget (:mod:`repro.serve.server`); every request, hot key or cold, is
+answered by the distributed cascade, as in WarpDrive, which has no
+front-end cache.  Clients (:mod:`repro.serve.client`) know the server's
 partition policy and pre-split batches by shard.
 
 ``repro serve`` / ``repro client`` expose the pair on the CLI;
 ``repro serve --smoke`` is the CI gate; ``docs/serving.md`` documents
-the frame formats, the cache tier, and the backpressure semantics.
+the frame formats, the coalescer, and the backpressure semantics.
 """
 
-from .cache import CacheStats, HotKeyCache
 from .client import KVClient
 from .protocol import (
     ErrorCode,
@@ -42,8 +41,6 @@ from .protocol import (
 from .server import KVServer, ServerStats
 
 __all__ = [
-    "HotKeyCache",
-    "CacheStats",
     "KVClient",
     "KVServer",
     "ServerStats",

@@ -112,7 +112,6 @@ class KVClient:
         self._sock: socket.socket | None = None
         self._request_ids = itertools.count(1)
         self.num_gpus = 0
-        self.server_cache_enabled = False
         self._partition = None
         self.connects = 0
         self._connect()
@@ -143,9 +142,7 @@ class KVClient:
             raise ProtocolError(
                 f"expected HELLO_REPLY, got {reply.type.name}"
             )
-        self.num_gpus, self.server_cache_enabled = decode_hello_reply(
-            reply.payload
-        )
+        self.num_gpus = decode_hello_reply(reply.payload)
         self._partition = hashed_partition(self.num_gpus)
 
     def reconnect(self) -> None:
@@ -327,7 +324,7 @@ class KVClient:
         return erased
 
     def stats(self) -> dict:
-        """The server's live counter/cache/table snapshot."""
+        """The server's live counter/table/admission snapshot."""
         reply = self._roundtrip_one(
             Frame(FrameType.STATS, next(self._request_ids))
         )

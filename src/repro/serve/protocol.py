@@ -69,7 +69,8 @@ __all__ = [
 
 #: wire magic ("WD" little-endian) — rejects line noise before anything else
 MAGIC: int = 0x4457
-VERSION: int = 1
+#: v2: HELLO_REPLY carries only the GPU count (v1 also sent a cache flag)
+VERSION: int = 2
 #: header layout: magic u16, version u8, type u8, request_id u32, len u32
 _HEADER = struct.Struct("<HBBII")
 HEADER_BYTES: int = _HEADER.size
@@ -213,15 +214,14 @@ def decode_hello(payload: bytes) -> str:
         raise ProtocolError("hello: client name is not utf-8") from None
 
 
-def encode_hello_reply(num_gpus: int, *, cache_enabled: bool) -> bytes:
-    return struct.pack("<IB", num_gpus, int(bool(cache_enabled)))
+def encode_hello_reply(num_gpus: int) -> bytes:
+    return struct.pack("<I", num_gpus)
 
 
-def decode_hello_reply(payload: bytes) -> tuple[int, bool]:
-    if len(payload) != 5:
-        raise ProtocolError(f"hello reply is {len(payload)} B, expected 5 B")
-    num_gpus, cached = struct.unpack("<IB", payload)
-    return num_gpus, bool(cached)
+def decode_hello_reply(payload: bytes) -> int:
+    if len(payload) != 4:
+        raise ProtocolError(f"hello reply is {len(payload)} B, expected 4 B")
+    return struct.unpack("<I", payload)[0]
 
 
 def encode_insert(keys: np.ndarray, values: np.ndarray) -> bytes:

@@ -1,4 +1,4 @@
-"""The KV server: request coalescing, admission control, cache tier.
+"""The KV server: request coalescing and admission control.
 
 One :class:`KVServer` fronts one
 :class:`~repro.multigpu.distributed_table.DistributedHashTable`:
@@ -17,22 +17,13 @@ One :class:`KVServer` fronts one
   total order: the op log it appends to replays serially to a
   bit-identical table (the soak-test contract).
 
-Retrieval batches consult the :class:`~repro.serve.cache.HotKeyCache`
-**on the coalescer thread**, once per merged batch: a single vectorized
-lookup over the whole coalesced key set, then one cascade covering only
-the missed keys.  Keeping lookups off the reader threads matters twice
-over — the merged lookup runs uncontended (per-request lookups on N
-reader threads fight each other for the interpreter), and every cache
-operation (lookup, admission, invalidation) now happens in the same
-total order as the cascades, so coherence is sequential by
-construction.  The cascade's
-:class:`~repro.multigpu.distributed_table.CascadeReport` records the
-batch's ``cache_hits``/``cache_misses`` split.  Each key in a batched
-query linearizes individually at its read point inside the batch —
-batched gets are N independent reads, not a snapshot.  Inserts and
-erases invalidate the touched keys *before* their replies are sent, so
-no client can observe a stale cached value after any acknowledged
-mutation.
+Every merged batch is one cascade: a query batch is one
+``table.query`` call, an insert or erase batch one ``table.insert`` or
+``table.erase`` call.  There is no front-end cache, so nothing can
+serve a stale value: a reply sent after an acknowledged mutation reads
+the table that mutation wrote.  Each key in a batched query linearizes
+individually at its read point inside the batch — batched gets are N
+independent reads, not a snapshot.
 
 A malformed *header* desynchronizes the byte stream, so the server
 answers with a typed error frame and closes that connection; a
@@ -43,9 +34,9 @@ connection survives.  Neither path reaches the table.
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import socket
-import struct
 import tempfile
 import threading
 import time
@@ -60,7 +51,6 @@ from ..multigpu.distributed_table import DistributedHashTable
 from ..multigpu.topology import p100_nvlink_node
 from ..obs import runtime as obs
 from ..pipeline.staging import StagingBudget
-from .cache import HotKeyCache
 from .protocol import (
     ErrorCode,
     Frame,
@@ -80,6 +70,13 @@ from .protocol import (
 )
 
 __all__ = ["ServerStats", "KVServer"]
+
+_log = logging.getLogger(__name__)
+
+#: distinct client names that get their own ``serve.client.{name}.ops``
+#: counter; every later name is folded into ``serve.client.other.ops``
+#: so a stream of fresh names cannot grow the metric set without bound
+MAX_CLIENT_METRICS = 16
 
 #: ops that carry data through the admission queue
 _DATA_OPS = {FrameType.INSERT: "insert", FrameType.QUERY: "query",
@@ -164,10 +161,6 @@ class KVServer:
         ``None`` (default) binds a fresh unix socket under a temp
         directory; a ``str`` binds that unix path; an ``(host, port)``
         tuple binds TCP (port 0 picks a free port).
-    cache:
-        ``False`` disables the hot-key tier (the bench suite's control).
-    cache_size, promote_after:
-        Forwarded to :class:`HotKeyCache`.
     batch_window:
         Seconds the coalescer waits for same-op follow-up frames before
         a partially filled batch executes.
@@ -182,15 +175,15 @@ class KVServer:
         execution order — the soak test's serial-replay source.
     """
 
+    #: always ``None`` (there is no cache tier); perfbench/harness.py reads it
+    cache = None
+
     def __init__(
         self,
         table: DistributedHashTable,
         *,
         address=None,
         own_table: bool = False,
-        cache: bool = True,
-        cache_size: int = 4096,
-        promote_after: int = 2,
         batch_window: float = 0.002,
         max_batch: int = 1 << 15,
         admission_bytes: int = 64 << 20,
@@ -204,11 +197,6 @@ class KVServer:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         self.table = table
         self._own_table = own_table
-        self.cache: HotKeyCache | None = (
-            HotKeyCache(cache_size, promote_after=promote_after)
-            if cache
-            else None
-        )
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self.budget = StagingBudget(admission_bytes)
@@ -226,6 +214,7 @@ class KVServer:
         self._conn_lock = threading.Lock()
         self._next_conn = 0
         self._seen_clients: set[str] = set()
+        self._metric_clients: set[str] = set()
         self._started = False
         self._closed = threading.Event()
 
@@ -420,10 +409,7 @@ class KVServer:
                 Frame(
                     FrameType.HELLO_REPLY,
                     frame.request_id,
-                    encode_hello_reply(
-                        self.table.num_gpus,
-                        cache_enabled=self.cache is not None,
-                    ),
+                    encode_hello_reply(self.table.num_gpus),
                 )
             )
             return True
@@ -561,13 +547,16 @@ class KVServer:
             self.stats.inc("serve.coalesced_requests", len(group))
             for pending in group:
                 self.stats.inc(
-                    f"serve.client.{pending.conn.name}.ops",
+                    f"serve.client.{self._metric_name(pending.conn.name)}.ops",
                     int(pending.keys.size),
                 )
-        except ReproError as exc:
-            # typed reply per caller; the cascade entry points validate
-            # before mutating, so the table stays consistent
+        except Exception as exc:
+            # any failure, typed or not, is answered per caller: an
+            # escaping exception would kill this thread and wedge every
+            # later request until its client timed out
             self.stats.inc("serve.errors")
+            if not isinstance(exc, ReproError):
+                _log.exception("serve: unexpected error in a %s batch", op)
             for pending in group:
                 self._reject(
                     pending.conn,
@@ -580,12 +569,19 @@ class KVServer:
                 if pending.nbytes:
                     self.budget.release(pending.nbytes)
 
+    def _metric_name(self, name: str) -> str:
+        """``name`` for the first MAX_CLIENT_METRICS clients, else "other"."""
+        if name in self._metric_clients:
+            return name
+        if len(self._metric_clients) < MAX_CLIENT_METRICS:
+            self._metric_clients.add(name)
+            return name
+        return "other"
+
     def _execute_insert(self, group: list[_Pending]) -> None:
         keys = np.concatenate([p.keys for p in group])
         values = np.concatenate([p.values for p in group])
         self.table.insert(keys, values, source="host")
-        if self.cache is not None:
-            self.cache.invalidate(keys)
         if self.oplog is not None:
             self.oplog.append(("insert", keys, values))
         for pending in group:
@@ -600,8 +596,6 @@ class KVServer:
     def _execute_erase(self, group: list[_Pending]) -> None:
         keys = np.concatenate([p.keys for p in group])
         erased, _report = self.table.erase(keys, source="host")
-        if self.cache is not None:
-            self.cache.invalidate(keys)
         if self.oplog is not None:
             self.oplog.append(("erase", keys, None))
         offset = 0
@@ -618,33 +612,14 @@ class KVServer:
 
     def _execute_query(self, group: list[_Pending]) -> None:
         keys = np.concatenate([p.keys for p in group])
-        defaults = np.concatenate(
-            [np.full(p.keys.size, p.default, dtype=np.uint32) for p in group]
-        )
-        if self.cache is not None:
-            # one vectorized lookup over the whole coalesced batch, then
-            # a cascade covering only the missed keys
-            values, hit_mask = self.cache.lookup(keys)
-            nhits = int(hit_mask.sum())
-            self.stats.inc("serve.cache.hits", nhits)
-            self.stats.inc("serve.cache.misses", int(keys.size) - nhits)
-            if nhits == keys.size:
-                found = hit_mask
-            else:
-                miss = ~hit_mask
-                miss_keys = keys[miss]
-                miss_values, miss_found = self._query_table(
-                    miss_keys, defaults[miss], cache_hits=nhits
-                )
-                if miss_found.any():
-                    self.cache.admit(
-                        miss_keys[miss_found], miss_values[miss_found]
-                    )
-                values[miss] = miss_values
-                found = hit_mask
-                found[miss] = miss_found
-        else:
-            values, found = self._query_table(keys, defaults)
+        values, found, _report = self.table.query(keys, source="host")
+        miss = ~found
+        if miss.any():
+            defaults = np.concatenate(
+                [np.full(p.keys.size, p.default, dtype=np.uint32) for p in group]
+            )
+            values = values.copy()
+            values[miss] = defaults[miss]
         offset = 0
         for pending in group:
             n = int(pending.keys.size)
@@ -659,23 +634,6 @@ class KVServer:
                 )
             )
             offset += n
-
-    def _query_table(
-        self,
-        keys: np.ndarray,
-        defaults: np.ndarray,
-        *,
-        cache_hits: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One retrieval cascade, stamped with the batch's cache split."""
-        values, found, report = self.table.query(keys, source="host")
-        report.cache_hits = cache_hits
-        report.cache_misses = int(keys.size)
-        miss = ~found
-        if miss.any():
-            values = values.copy()
-            values[miss] = defaults[miss]
-        return values, found
 
     def _send_reply(
         self, pending: _Pending, values: np.ndarray, found: np.ndarray
@@ -705,8 +663,8 @@ class KVServer:
     # -- reporting ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-ready stats: counters, cache tier, table occupancy."""
-        data = {
+        """JSON-ready stats: counters, table occupancy, admission."""
+        return {
             "counters": self.stats.snapshot(),
             "table": {
                 "size": len(self.table),
@@ -719,13 +677,8 @@ class KVServer:
                 "peak_bytes": self.budget.peak_bytes,
             },
         }
-        if self.cache is not None:
-            data["cache"] = self.cache.stats().to_dict()
-        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"KVServer(address={self._address!r}, "
-            f"cache={'on' if self.cache is not None else 'off'}, "
-            f"table={self.table!r})"
+            f"KVServer(address={self._address!r}, table={self.table!r})"
         )

@@ -12,8 +12,8 @@ plus a mixed-op workload builder for the soak/bench harnesses.
 The key *values* stay hash-uniform exactly as in the paper: ranks are
 mapped through a shuffled :func:`~repro.workloads.distributions
 .unique_keys` table, so skew lives in multiplicities only and the
-table's partition stays balanced — the hot-key cache tier, not a lucky
-shard, must absorb the skew.
+table's partition stays balanced — skewed traffic repeats keys within
+a batch, never piles a whole batch onto one shard.
 """
 
 from __future__ import annotations

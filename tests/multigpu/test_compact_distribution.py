@@ -62,7 +62,7 @@ class TestCompactCascade:
             assert rep.layout == "compact"
             assert rep.record_bytes == slot_record_bytes("compact", 1 << 12)
             d = rep.to_dict()
-            assert d["schema_version"] == 3
+            assert d["schema_version"] == 4
             assert d["layout"] == "compact"
             assert d["record_bytes"] == rep.record_bytes
             assert d["table_bytes"] == rep.table_bytes

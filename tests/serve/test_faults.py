@@ -128,12 +128,61 @@ class TestBrokenStreams:
         assert code == ErrorCode.BAD_TYPE
         sock.close()
 
+    def test_old_protocol_version_gets_typed_error(self, server):
+        """A peer still speaking version 1 is refused with a typed
+        MALFORMED error, then hung up on, like any bad header."""
+        sock = _raw_connection(server)
+        v1_hello = struct.pack("<HBBII", MAGIC, 1, int(FrameType.HELLO), 1, 0)
+        sock.sendall(v1_hello)
+        reply = read_frame(sock)
+        assert reply.type == FrameType.ERROR
+        code, message = decode_error(reply.payload)
+        assert code == ErrorCode.MALFORMED
+        assert "unsupported protocol version 1" in message
+        sock.close()
+
     def test_clean_disconnect_is_not_an_error(self, server):
         with KVClient(server.address, name="polite"):
             pass
         _wait_counter(server, "serve.disconnect", 1)
         assert server.stats.get("serve.truncated") == 0
         assert server.stats.get("serve.rejected") == 0
+
+
+class TestCoalescerSurvivesExceptions:
+    def test_non_repro_exception_is_typed_and_server_keeps_serving(
+        self, server, monkeypatch, caplog
+    ):
+        """A plain ``ValueError`` out of the cascade is answered with a
+        typed INTERNAL error; the coalescer thread lives on, so later
+        requests on the same and on a new connection still succeed."""
+        keys = unique_keys(256, seed=30)
+        values = random_values(256, seed=31)
+        real_query = server.table.query
+        calls = {"n": 0}
+
+        def flaky_query(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise ValueError("injected")
+            return real_query(*args, **kwargs)
+
+        monkeypatch.setattr(server.table, "query", flaky_query)
+        with KVClient(
+            server.address, name="victim", presplit=False, timeout=3.0
+        ) as client:
+            client.insert(keys, values)
+            with pytest.raises(ServeError) as err:
+                client.query(keys)
+            assert err.value.code == ErrorCode.INTERNAL
+            assert "ValueError: injected" in str(err.value)
+            got, found = client.query(keys)
+            assert found.all() and np.array_equal(got, values)
+        with KVClient(server.address, name="after", timeout=3.0) as fresh:
+            got, found = fresh.query(keys)
+        assert found.all() and np.array_equal(got, values)
+        assert server.stats.get("serve.errors") == 1
+        assert "ValueError: injected" in caplog.text  # traceback logged
 
 
 class TestReconnect:
@@ -167,7 +216,6 @@ class TestAdmissionOverflow:
             capacity=1 << 12,
             admission_bytes=6 << 10,
             batch_window=0.25,
-            cache=False,
         ).start()
 
     def test_overflow_rejects_with_typed_overloaded(self):

@@ -170,10 +170,9 @@ class TestPayloadCodecs:
 
     def test_hello_round_trips(self):
         assert decode_hello(encode_hello("client-α")) == "client-α"
-        num, cached = decode_hello_reply(
-            encode_hello_reply(8, cache_enabled=True)
-        )
-        assert num == 8 and cached is True
+        assert decode_hello_reply(encode_hello_reply(8)) == 8
+        with pytest.raises(ProtocolError, match="hello reply"):
+            decode_hello_reply(encode_hello_reply(8) + b"\x01")
 
     @given(
         code=st.sampled_from(list(ErrorCode)), message=st.text(max_size=64)

@@ -3,24 +3,26 @@
 One live :class:`KVServer` per test class (function-scoped where the
 test mutates global counters), real sockets, real threads — these are
 the serving layer's integration smoke: inserts visible to queries,
-erases visible to both, cache coherence across mutation, per-client
+erases visible to both, read-your-writes across mutation, per-client
 accounting, and the STATS/snapshot surfaces.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve import KVClient, KVServer
-from repro.serve.cache import HotKeyCache
+from repro.serve.server import MAX_CLIENT_METRICS
 from repro.workloads.distributions import random_values, unique_keys
 
 
 @pytest.fixture
 def server():
     srv = KVServer.create(
-        num_gpus=4, capacity=1 << 13, cache_size=512, batch_window=0.001
+        num_gpus=4, capacity=1 << 13, batch_window=0.001
     ).start()
     yield srv
     srv.close()
@@ -79,31 +81,20 @@ class TestRoundTrips:
 
     def test_hello_learns_topology(self, server, client):
         assert client.num_gpus == server.table.num_gpus
-        assert client.server_cache_enabled is True
 
 
-class TestCacheCoherence:
-    def test_repeat_queries_hit_the_cache(self, server, client):
-        keys = unique_keys(256, seed=10)
-        values = random_values(256, seed=11)
-        client.insert(keys, values)
-        for _ in range(3):
-            got, found = client.query(keys)
-            assert found.all() and np.array_equal(got, values)
-        assert server.stats.get("serve.cache.hits") > 0
-
-    def test_insert_invalidates_stale_values(self, server, client):
+class TestReadYourWrites:
+    def test_overwrite_is_visible(self, server, client):
         keys = unique_keys(128, seed=12)
         values = random_values(128, seed=13)
         client.insert(keys, values)
-        client.query(keys)  # warm the tier
         client.query(keys)
         client.insert(keys, values + 1)  # overwrite through the server
         got, found = client.query(keys)
         assert found.all()
-        assert np.array_equal(got, values + 1), "served stale cached values"
+        assert np.array_equal(got, values + 1), "served a stale value"
 
-    def test_erase_invalidates_cached_keys(self, server, client):
+    def test_erased_keys_are_not_found(self, server, client):
         keys = unique_keys(128, seed=14)
         values = random_values(128, seed=15)
         client.insert(keys, values)
@@ -113,20 +104,6 @@ class TestCacheCoherence:
         got, found = client.query(keys, default=7)
         assert not found.any()
         assert (got == 7).all()
-
-    def test_cache_off_server_reports_no_tier(self):
-        srv = KVServer.create(num_gpus=2, capacity=1 << 12, cache=False).start()
-        try:
-            with KVClient(srv.address, name="nocache") as c:
-                assert c.server_cache_enabled is False
-                keys = unique_keys(64, seed=16)
-                c.insert(keys, keys)
-                c.query(keys)
-                c.query(keys)
-            assert srv.stats.get("serve.cache.hits") == 0
-            assert "cache" not in srv.snapshot()
-        finally:
-            srv.close()
 
 
 class TestAccountingSurfaces:
@@ -145,11 +122,32 @@ class TestAccountingSurfaces:
         snap = server.snapshot()
         assert snap["table"]["size"] == 246  # 256 inserted - 10 erased
         assert snap["admission"]["in_flight_bytes"] == 0
-        assert snap["cache"]["capacity"] == 512
+        assert set(snap) == {"counters", "table", "admission"}
+        assert server.cache is None
+        # per-client counters stop at MAX_CLIENT_METRICS names; every
+        # later name is folded into one "other" counter
+        names = [f"c{i}" for i in range(MAX_CLIENT_METRICS + 3)]
+        for name in names:
+            with KVClient(server.address, name=name) as c:
+                c.query(keys[:8])
+        # the reply races the counter bump by a few microseconds
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            counters = server.stats.snapshot()
+            if counters.get("serve.client.other.ops") == 4 * 8:
+                break
+            time.sleep(0.01)
+        per_client = {
+            k for k in counters if k.startswith("serve.client.")
+        }
+        assert len(per_client) == MAX_CLIENT_METRICS + 1
+        assert "serve.client.it-client.ops" in per_client
+        assert "serve.client.other.ops" in per_client
+        assert counters["serve.client.other.ops"] == 4 * 8
+        for name in names[: MAX_CLIENT_METRICS - 1]:
+            assert counters[f"serve.client.{name}.ops"] == 8
 
     def test_stats_frame_matches_server_snapshot(self, server, client):
-        import time
-
         keys = unique_keys(64, seed=18)
         client.insert(keys, keys)
         # the reply races the counter bump by a few microseconds
@@ -168,21 +166,6 @@ class TestAccountingSurfaces:
         with KVClient(server.address, name="bouncer"):
             pass
         assert server.stats.get("serve.reconnect") == 1
-
-    def test_report_carries_cache_split(self, server):
-        """The coalescer stamps CascadeReport with the batch's
-        hit/miss split — visible through the table's own report path."""
-        cache = server.cache
-        assert isinstance(cache, HotKeyCache)
-        keys = unique_keys(128, seed=20)
-        with KVClient(server.address, name="split") as c:
-            c.insert(keys, keys)
-            c.query(keys)  # all misses, sketch warms
-            c.query(keys)  # sampled keys cross promote_after and admit
-            c.query(keys)  # resident keys hit
-        stats = cache.stats()
-        assert stats.misses >= 128
-        assert stats.hits >= 1
 
 
 class TestLifecycle:

@@ -97,22 +97,27 @@ def _soak(server, *, clients: int, batches: int, batch_size: int):
     assert not errors, errors
 
 
+def _assert_soak_replays(*, clients: int, batches: int, **server_kwargs):
+    """Soak a 4-GPU server, then replay its op log into a fresh table."""
+    server = KVServer.create(
+        num_gpus=4, capacity=1 << 14, oplog=True, **server_kwargs
+    ).start()
+    try:
+        _soak(server, clients=clients, batches=batches, batch_size=512)
+        live_keys, live_values = _sorted_pairs(server.table)
+        replay_keys, replay_values = _replay(
+            server.oplog, num_gpus=4, capacity=1 << 14
+        )
+    finally:
+        server.close()
+    assert np.array_equal(live_keys, replay_keys)
+    assert np.array_equal(live_values, replay_values)
+
+
 class TestSoakSerialReplay:
     def test_concurrent_clients_replay_bit_identical(self):
         """Tier-1 small soak: 3 thread clients, mixed mutations."""
-        server = KVServer.create(
-            num_gpus=4, capacity=1 << 14, oplog=True, batch_window=0.001
-        ).start()
-        try:
-            _soak(server, clients=3, batches=4, batch_size=512)
-            live_keys, live_values = _sorted_pairs(server.table)
-            replay_keys, replay_values = _replay(
-                server.oplog, num_gpus=4, capacity=1 << 14
-            )
-        finally:
-            server.close()
-        assert np.array_equal(live_keys, replay_keys)
-        assert np.array_equal(live_values, replay_values)
+        _assert_soak_replays(clients=3, batches=4, batch_window=0.001)
 
     def test_oplog_batches_are_coalesced_units(self):
         """Each log entry is one executed cascade: key counts in the
@@ -130,22 +135,9 @@ class TestSoakSerialReplay:
         finally:
             server.close()
 
-    def test_cache_on_and_off_soaks_agree(self):
-        """The cache tier must be invisible to the final table state."""
-        finals = []
-        for cache in (False, True):
-            server = KVServer.create(
-                num_gpus=4, capacity=1 << 14, cache=cache,
-                cache_size=256, oplog=True,
-            ).start()
-            try:
-                _soak(server, clients=2, batches=3, batch_size=512)
-                finals.append(_sorted_pairs(server.table))
-            finally:
-                server.close()
-        (off_keys, off_values), (on_keys, on_values) = finals
-        assert np.array_equal(off_keys, on_keys)
-        assert np.array_equal(off_values, on_values)
+    def test_default_window_soak_replays_bit_identical(self):
+        """The same identity at the default batch window."""
+        _assert_soak_replays(clients=2, batches=3)
 
 
 def _process_client(address, name, seed, batches, batch_size):

@@ -250,16 +250,15 @@ class TestServeTree:
 
     EXPECTED = {
         "serve/test_protocol.py",
-        "serve/test_cache_properties.py",
         "serve/test_server_client.py",
         "serve/test_soak.py",
         "serve/test_faults.py",
     }
 
     def test_serve_tree_exists_and_non_empty(self):
-        """One module per guarantee: wire-codec round-trips, cache
-        coherence vs a reference simulator, live end-to-end round
-        trips, soak serial-replay identity, and fault injection."""
+        """One module per guarantee: wire-codec round-trips, live
+        end-to-end round trips, soak serial-replay identity, and fault
+        injection."""
         for name in self.EXPECTED:
             path = TESTS / name
             assert path.exists() and path.stat().st_size > 0, name
@@ -270,7 +269,6 @@ class TestServeTree:
         text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
         assert "tests/serve/test_soak*.py" in text
         assert "tests/serve/test_faults*.py" in text
-        assert "tests/serve/test_cache_properties*.py" in text
         assert "tests/serve/test_protocol*.py" in text
 
     def test_process_client_soak_is_slow_marked(self):
@@ -283,10 +281,9 @@ class TestServeTree:
         assert match, "process-client soak test must be slow-marked"
 
     def test_serve_property_tests_use_shared_profiles(self):
-        for name in ("serve/test_protocol.py", "serve/test_cache_properties.py"):
-            text = (TESTS / name).read_text()
-            assert "from profiles import examples" in text, name
-            assert "settings(max_examples" not in text, name
+        text = (TESTS / "serve" / "test_protocol.py").read_text()
+        assert "from profiles import examples" in text
+        assert "settings(max_examples" not in text
 
     def test_ci_runs_serve_smoke_on_both_legs(self):
         """`make serve-smoke` boots a live server on the numba-free leg

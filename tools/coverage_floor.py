@@ -35,7 +35,7 @@ TARGET_PACKAGES = ("repro/simt", "repro/core")
 #: test-tree globs the gate refuses to run without: the lifecycle layer
 #: (grow/rehash), the compiled kernel backend, the streaming pipeline
 #: (depth equivalence + staging backpressure), the serving layer
-#: (soak replay identity, fault injection, cache coherence), and the
+#: (soak replay identity, fault injection, wire codecs), and the
 #: compact slot layout (cross-layout bit-identity, store/view planes)
 #: are exercised only through these modules, so a renamed or emptied
 #: file would silently drop the floor's most load-bearing coverage
@@ -51,7 +51,6 @@ REQUIRED_TEST_GLOBS = (
     "tests/pipeline/test_staging*.py",
     "tests/serve/test_soak*.py",
     "tests/serve/test_faults*.py",
-    "tests/serve/test_cache_properties*.py",
     "tests/serve/test_protocol*.py",
     "tests/core/test_compact_layout*.py",
     "tests/core/test_store*.py",
