@@ -1,14 +1,12 @@
-"""C toolchain provider for the ``kernels="compiled"`` backend.
+"""The C provider — the one compiled source of ``kernels="compiled"``.
 
-When numba is not installed but a host C compiler is, this module gives
-``kernels="compiled"`` a real compiled path instead of a fallback: the
-scalar loops of :mod:`repro.core.kernels_jit` are emitted as C (a
-line-for-line transcription — same phase order, same counter charges,
-same sorted-claim arbitration), built once into a shared library, and
-launched through ctypes.  The ``.so`` is disk-cached under
-``~/.cache/repro-jit`` keyed by a hash of the source text, so a process
-pays the compile exactly once per source revision and workers attach to
-the cached artifact.
+The wave/round probe loops of :mod:`repro.core.bulk` written as scalar
+C (same phase order, same counter charges, same claim arbitration),
+built once into a shared library with the host C compiler, and
+launched through ctypes by :mod:`repro.core.kernels_jit`.  The ``.so``
+is disk-cached under ``~/.cache/repro-jit`` keyed by a hash of the
+source text, so a process pays the compile exactly once per source
+revision and workers attach to the cached artifact.
 
 ctypes releases the GIL around every call, so the thread engine gets
 genuine shard parallelism out of this provider for free.
@@ -517,17 +515,6 @@ def _compiler() -> str | None:
     return None
 
 
-def compiler_available() -> bool:
-    """True when a C toolchain can (or already did) build the library."""
-    if _LIB is not None:
-        return True
-    if _LIB_FAILED:
-        return False
-    if _cached_so().exists():
-        return True
-    return _compiler() is not None
-
-
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_JIT_CACHE_DIR")
     if override:
@@ -597,63 +584,43 @@ def _load_library():
     return lib
 
 
+def library_loads() -> bool:
+    """True when the library builds (or is already cached) and loads.
+
+    A failed build or load is remembered, so later calls in this
+    process return False without retrying.
+    """
+    try:
+        _load_library()
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return False
+    return True
+
+
 def _check(status: int) -> None:
     if status != 0:
         raise MemoryError("cc JIT kernel could not allocate scratch memory")
 
 
 def build_loops(layout: str) -> dict:
-    """An op table with the same call signature as the numba/interp loops.
+    """The insert/query/erase loops bound to one slot layout.
 
-    ``n`` rides in ``counters[5]`` (the wrappers allocate 5 live counter
-    cells; the cc table asks for a sixth) to keep the ctypes prototypes
+    Each entry takes the arguments of its C prototype after the layout
+    flag and raises on a non-zero status.  ``n`` rides in ``counters[5]``
+    (callers pass six counter cells) to keep the ctypes prototypes
     uniform; the C side zeroes it before returning.
     """
     lib = _load_library()
     soa = {"aos": 0, "soa": 1, "compact": 2}[layout]
-    # found/erased arrive as np.bool_ arrays; ctypes sees them as uint8
-    u8 = lambda a: a.view(np.uint8)  # noqa: E731
 
-    def insert_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, wave, spw,
-        h1, step, keys, pairs, status, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_insert(
-            soa, packed, kp, vp, capacity, g, inner, max_windows, wave,
-            spw, h1, step, keys, pairs, status, probes, c6,
-        ))
-        counters[:] = c6[:5]
+    def bind(fn):
+        return lambda *args: _check(fn(soa, *args))
 
-    def query_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, values, found, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_query(
-            soa, packed, kp, vp, capacity, g, inner, max_windows,
-            spw, h1, step, keys, values, u8(found), probes, c6,
-        ))
-        counters[:] = c6[:5]
-
-    def erase_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, erased, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_erase(
-            soa, packed, kp, vp, capacity, g, inner, max_windows,
-            spw, h1, step, keys, u8(erased), probes, c6,
-        ))
-        counters[:] = c6[:5]
-
-    return {"insert": insert_loop, "query": query_loop, "erase": erase_loop}
+    return {
+        "insert": bind(lib.repro_insert),
+        "query": bind(lib.repro_query),
+        "erase": bind(lib.repro_erase),
+    }
 
 
 def scatter_permutation_compiled(bins, n, num_bins, src, counts,

@@ -1,7 +1,8 @@
-"""The numba-less fallback: ``kernels="compiled"`` must degrade cleanly.
+"""The no-provider fallback: ``kernels="compiled"`` must degrade cleanly.
 
-With no JIT provider (import forced off via ``REPRO_JIT_PROVIDER=none``)
-a ``"compiled"`` request warns once per owner, resolves to ``"fast"``,
+With no JIT provider (forced off via ``REPRO_JIT_PROVIDER=none``, or a
+C toolchain that cannot build the library) a ``"compiled"`` request
+warns once per owner, resolves to ``"fast"``,
 produces results identical to an explicit ``"fast"`` run, and every
 report / span records the backend **actually used** — never the one
 requested.
@@ -63,8 +64,9 @@ class TestResolution:
             assert resolve_kernels("fast") == "fast"
             assert resolve_kernels("ref") == "ref"
 
-    def test_invalid_provider_pin_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "gpu")
+    @pytest.mark.parametrize("pin", ["gpu", "numba", "interp"])
+    def test_invalid_provider_pin_raises(self, pin, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_PROVIDER", pin)
         with pytest.raises(ConfigurationError):
             active_provider()
 
@@ -105,6 +107,41 @@ class TestFallbackResults:
         finally:
             for t in tables.values():
                 t.free()
+
+    def test_unbuildable_toolchain_falls_back_to_fast(
+        self, monkeypatch, tmp_path
+    ):
+        """A compiler on PATH that cannot build the library must leave
+        the provider unavailable rather than raise on first launch."""
+        from repro.core import _jit_cc, kernels_jit
+
+        monkeypatch.delenv("REPRO_JIT_PROVIDER", raising=False)
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(_jit_cc, "_LIB", None)
+        monkeypatch.setattr(_jit_cc, "_LIB_FAILED", False)
+        monkeypatch.setattr(kernels_jit, "_CC_STATE", {"ok": None})
+        monkeypatch.setattr(kernels_jit, "_LOOPS_CACHE", {})
+        keys = unique_keys(800, seed=3)
+        values = random_values(800, seed=4)
+        broken = WarpDriveHashTable(4096, group_size=4)
+        fast = WarpDriveHashTable(4096, group_size=4)
+        try:
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                broken.insert(keys, values, kernels="compiled")
+            fast.insert(keys, values, kernels="fast")
+            assert active_provider() is None
+            assert (
+                resolve_kernels("compiled", owner="WarpDriveHashTable.insert")
+                == "fast"
+            )
+            assert (broken.slots == fast.slots).all()
+            qb = broken.query(keys, kernels="compiled")
+            qf = fast.query(keys, kernels="fast")
+            assert (qb[0] == qf[0]).all() and (qb[1] == qf[1]).all()
+        finally:
+            broken.free()
+            fast.free()
 
     def test_worker_resolves_independently(self, no_provider):
         """Engines re-resolve in the executing process; the result must

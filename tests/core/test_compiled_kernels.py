@@ -1,7 +1,7 @@
 """Bit-identity of the compiled bulk kernels against the fast ones.
 
-``kernels="compiled"`` is a policy with three providers (numba / cc /
-interp); whichever one runs, the contract is the same: final slot
+``kernels="compiled"`` runs the C loops of the ``cc`` provider; the
+contract is the same as the other backends': final slot
 contents, statuses, probe-window arrays, every
 :class:`~repro.core.report.KernelReport` field, and the merged
 transaction-counter snapshots must be **bit-identical** to the
@@ -164,10 +164,7 @@ class TestProviders:
     @pytest.mark.parametrize("provider", available_providers())
     def test_provider_matches_fast(self, provider, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PROVIDER", provider)
-        # interp runs the undecorated loop bodies in CPython — keep the
-        # workload small so the tier-1 budget holds
-        n = 300 if provider == "interp" else 1200
-        assert lifecycle("compiled", n=n) == lifecycle("fast", n=n)
+        assert lifecycle("compiled", n=1200) == lifecycle("fast", n=1200)
 
 
 @needs_provider

@@ -147,26 +147,3 @@ class TestEngineDispatch:
         assert compiled.pop("kernels") == "compiled"
         assert fast.pop("kernels") == "fast"
         assert fast == compiled
-
-
-class TestNumbaProvider:
-    """The optional-dependency provider (``pip install repro[compiled]``).
-
-    Skips wherever numba is absent — the cc/interp providers cover the
-    algorithm there; this leg pins the njit-compiled loops specifically.
-    """
-
-    @pytest.mark.parametrize("group_size", [1, 4, 32])
-    def test_numba_three_way(self, group_size, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "numba")
-        snaps = [churn(k, group_size=group_size) for k in BACKENDS]
-        assert snaps[0] == snaps[1] == snaps[2]
-
-    def test_numba_layouts(self, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "numba")
-        for layout in ("aos", "soa", "compact"):
-            assert churn("compiled", layout=layout) == churn(
-                "fast", layout=layout
-            )
