@@ -10,31 +10,19 @@ rates
     Modelled single-GPU insert/retrieve rates for chosen loads and |g|.
 figures
     Regenerate paper figures (delegates to the experiment harness).
+scorecard
+    Grade every checkable paper claim against the modelled numbers.
 bench
-    Measured wall-clock suites: shard-execution backends and the
-    fused-vs-reference distribution path.
+    Measured wall-clock suites: shard-execution backends, the
+    fused-vs-reference distribution path, and served queries.
+serve
+    Serve a distributed table over a unix or TCP socket.
+client
+    Drive a running ``repro serve``: prefill, Zipfian load, stats,
+    shutdown.
 trace
     Run a small traced cascade and write a Chrome/Perfetto
     ``.trace.json`` through :mod:`repro.obs`.
-grow
-    Dynamic-growth exercise: ingest past the load ceiling through every
-    table flavour and validate the traced grow/rehash spans
-    (``--smoke`` is the CI gate).
-stream
-    Streaming-pipeline exercise: depth bit-identity, staging-budget
-    backpressure, and measured distribution/kernel overlap under
-    modelled pacing, with Perfetto validation (``--smoke`` is the CI
-    gate).
-cluster
-    Hierarchical-topology exercise: one-node-cluster bit-identity
-    against the flat node, NIC byte charging on a two-node cluster, and
-    the traced ``transpose.intra``/``transpose.inter`` exchange levels
-    (``--smoke`` is the CI gate).
-compact
-    Compact slot layout exercise: cross-layout bit-identity under
-    growth/tombstone churn plus strictly narrower modelled VRAM and
-    exchange charges on quotienting tables (``--smoke`` is the CI
-    gate).
 racecheck
     Shadow-memory race sanitizer over the reference kernels: clean-tree
     certification plus the seeded mutant catalogue.
@@ -53,6 +41,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    import pkgutil
+
     import repro
     from repro.perfmodel import P100, calibration as cal
     from repro.utils.tables import format_kv
@@ -75,8 +65,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
     )
     print()
-    print("subsystems: core simt memory hashing primitives multigpu "
-          "pipeline baselines perfmodel workloads bench")
+    subsystems = sorted(
+        m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
+    )
+    print("subsystems: " + " ".join(subsystems))
     return 0
 
 
@@ -134,8 +126,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     timing = time_cascade(drep, dist, node)
     got, found, _ = dist.query(keys[: n // 4], source="device")
     assert bool(found.all())
+    gpus = f"{node.num_devices}x {node.devices[0].spec.name.split()[-1]}"
     print(
-        f"4x P100    : imbalance {drep.load_imbalance:.3f}, "
+        f"{gpus:<11}: imbalance {drep.load_imbalance:.3f}, "
         f"modelled {throughput(n, timing.total) / 1e9:.2f} G inserts/s "
         f"host-sided ({throughput(n, timing.device_only) / 1e9:.2f} device-sided)"
     )
@@ -247,9 +240,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.multigpu import DistributedHashTable
     from repro.workloads import random_values, unique_keys
 
-    n = 1 << 12 if args.smoke else args.n
-    keys = unique_keys(n, seed=3)
-    values = random_values(n, seed=4)
+    keys = unique_keys(args.n, seed=3)
+    values = random_values(args.n, seed=4)
     node = _resolve_topology_arg(args)
     with obs.session() as (recorder, metrics):
         table = DistributedHashTable.for_workload(
@@ -284,500 +276,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_grow(args: argparse.Namespace) -> int:
-    """Ingest far past the load ceiling through every table flavour.
-
-    Each stage starts at a small capacity with a ``GrowthPolicy`` and
-    streams in ``--scale`` times that many pairs; success means zero
-    ``InsertionError``, every key retrievable, at least one recorded
-    rehash, and a valid Perfetto trace containing the lifecycle spans.
-    """
-    import numpy as np
-
-    from repro import obs
-    from repro.core import (
-        GrowthPolicy,
-        PartitionedWarpDriveTable,
-        WarpDriveHashTable,
-    )
-    from repro.multigpu import DistributedHashTable, p100_nvlink_node
-    from repro.pipeline.driver import AsyncCascadeDriver
-    from repro.workloads import random_values, unique_keys
-
-    policy = GrowthPolicy(max_load=args.max_load)
-    base = 256 if args.smoke else args.capacity
-    n = int(base * args.scale)
-    keys = unique_keys(n, seed=11)
-    values = random_values(n, seed=12)
-    chunks = list(
-        zip(np.array_split(keys, 8), np.array_split(values, 8))
-    )
-    failures: list[str] = []
-
-    def check(label: str, table, query) -> None:
-        got, found = query()
-        if not bool(found.all()) or not bool((got == values).all()):
-            failures.append(f"{label}: grown table lost pairs")
-
-    with obs.session() as (recorder, metrics):
-        t = WarpDriveHashTable(base, growth=policy)
-        for ck, cv in chunks:
-            t.insert(ck, cv)
-        if t.grows == 0:
-            failures.append("single: no growth at 4x ingest")
-        check("single", t, lambda: t.query(keys))
-        print(f"single       capacity {base} -> {t.capacity} "
-              f"({t.grows} grows)")
-
-        pt = PartitionedWarpDriveTable(
-            base, max_partition_bytes=base * 2, growth=policy
-        )
-        for ck, cv in chunks:
-            pt.insert(ck, cv)
-        check("partitioned", pt, lambda: pt.query(keys))
-        print(f"partitioned  capacity {base} -> {pt.capacity} "
-              f"({sum(s.grows for s in pt.subtables)} grows)")
-        pt.free()
-
-        node = p100_nvlink_node(4)
-        dt = DistributedHashTable(base, topology=node, growth=policy)
-        for ck, cv in chunks:
-            dt.insert(ck, cv)
-        check("distributed", dt,
-              lambda: dt.query(keys)[:2])
-        rehash_xfers = sum(
-            r.tag == "grow rehash" for r in dt.transfer_log.records
-        )
-        print(f"distributed  capacity {base} -> {dt.total_capacity} "
-              f"({sum(s.grows for s in dt.shards)} grows, "
-              f"{rehash_xfers} D2D rehash transfers)")
-        dt.free()
-
-        st = DistributedHashTable(base, topology=node, growth=policy)
-        driver = AsyncCascadeDriver(st, num_threads=2, measure=True)
-        res = driver.insert_stream(chunks)
-        check("driver", st, lambda: st.query(keys)[:2])
-        grow_spans = [
-            s for s in res.measured.spans if s.op == "insert grow"
-        ]
-        if not grow_spans:
-            failures.append("driver: no measured mid-stream grow span")
-        print(f"driver       capacity {base} -> {st.total_capacity} "
-              f"({len(grow_spans)} measured grow spans)")
-        st.free()
-
-    data = obs.to_perfetto(recorder, metrics)
-    problems = obs.validate_trace(data)
-    if problems:
-        failures.extend(f"trace: {p}" for p in problems)
-    names = {s.name for s in recorder.spans}
-    for required in ("grow", "shard growth"):
-        if required not in names:
-            failures.append(f"trace: no '{required}' span recorded")
-    rehashes = metrics.counters.get("kernel.rehash.ops", 0)
-    if not rehashes:
-        failures.append("metrics: kernel.rehash.ops never incremented")
-    print(f"trace: {len(recorder.spans)} spans, "
-          f"{rehashes} pairs migrated by rehash kernels")
-    if args.out:
-        path = obs.write_trace(args.out, recorder, metrics)
-        print(f"wrote {path}")
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print("growth smoke: all table flavours grew cleanly")
-    return 0
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    """Exercise the ``depth >= 2`` pipeline end to end.
-
-    Four gates, all of which must hold: (1) the pipelined stream is
-    bit-identical to ``depth=1`` on the same data; (2) a one-wave
-    staging budget produces real backpressure, surfaced as
-    ``pipeline.stall`` spans and metrics; (3) under modelled pacing the
-    pipelined *measured* makespan beats ``depth=1`` because staging
-    spans genuinely overlap device-occupancy spans in the trace; (4) the
-    whole session exports a valid Perfetto trace.
-    """
-    import numpy as np
-
-    from repro import obs
-    from repro.multigpu import DistributedHashTable
-    from repro.pipeline import AsyncCascadeDriver
-    from repro.workloads import random_values, unique_keys
-
-    n = 1 << 14 if args.smoke else args.n
-    num_batches = 8
-    depth = args.depth
-    keys = unique_keys(n, seed=21)
-    values = random_values(n, seed=22)
-    batches = list(
-        zip(np.array_split(keys, num_batches), np.array_split(values, num_batches))
-    )
-    per_batch = (n // num_batches) * 8  # packed uint64 pairs
-    failures: list[str] = []
-
-    def run(d: int, *, budget=None, pace="none", scale=20.0):
-        table = DistributedHashTable(
-            int(n / 0.8), topology=_resolve_topology_arg(args)
-        )
-        driver = AsyncCascadeDriver(
-            table, depth=d, staging_budget=budget, pace=pace, scale=scale
-        )
-        ins = driver.insert_stream(iter(batches))
-        qry = driver.query_stream([k for k, _ in batches])
-        ks, vs = table.export()
-        order = np.argsort(ks, kind="stable")
-        state = (len(table), ks[order].tobytes(), vs[order].tobytes())
-        table.free()
-        return ins, qry, state
-
-    with obs.session() as (recorder, metrics):
-        # 1. bit-identity: depth=1 vs the pipelined depth
-        _, base_qry, base_state = run(1)
-        ins, qry, state = run(depth)
-        if state != base_state:
-            failures.append(f"depth={depth}: table state differs from depth=1")
-        if (
-            qry.values.tobytes() != base_qry.values.tobytes()
-            or qry.found.tobytes() != base_qry.found.tobytes()
-        ):
-            failures.append(f"depth={depth}: query results differ from depth=1")
-        print(
-            f"identity     depth {depth} vs 1: {n} pairs, "
-            f"{ins.num_ops + qry.num_ops} streamed ops, bit-identical="
-            f"{state == base_state}"
-        )
-
-        # 2. backpressure: a one-wave budget must stall the stager
-        bp_ins, _, _ = run(4, budget=per_batch, pace="modelled", scale=50.0)
-        if bp_ins.stall_seconds <= 0:
-            failures.append("backpressure: one-wave budget produced no stall")
-        if bp_ins.peak_staged_bytes > per_batch:
-            failures.append(
-                f"backpressure: peak {bp_ins.peak_staged_bytes} B "
-                f"exceeded the {per_batch} B budget"
-            )
-        print(
-            f"backpressure depth 4, budget {per_batch} B: "
-            f"peak {bp_ins.peak_staged_bytes} B, "
-            f"stalled {bp_ins.stall_seconds * 1e3:.1f} ms"
-        )
-
-    if not any(s.name == "pipeline.stall" for s in recorder.spans):
-        failures.append("trace: no pipeline.stall span recorded")
-    if metrics.counter("pipeline.stall.count") < 1:
-        failures.append("metrics: pipeline.stall.count never incremented")
-
-    # staging spans (stager thread) overlapping commit-side occupancy
-    stage_spans = [
-        s for s in recorder.spans
-        if s.category == "pipeline" and s.name.endswith(" stage")
-    ]
-    busy_spans = [
-        s for s in recorder.spans
-        if s.category == "batch" or s.name == "pipeline.pace"
-    ]
-    overlapped = any(
-        s.start < b.end and b.start < s.end
-        for s in stage_spans for b in busy_spans
-    )
-    if not stage_spans:
-        failures.append("trace: no pipelined staging spans recorded")
-    if not overlapped:
-        failures.append(
-            "trace: staging never overlapped a commit/occupancy span"
-        )
-    print(
-        f"trace        {len(recorder.spans)} spans, "
-        f"{len(stage_spans)} staged waves, overlap={overlapped}"
-    )
-
-    data = obs.to_perfetto(recorder, metrics)
-    problems = obs.validate_trace(data)
-    if problems:
-        failures.extend(f"trace: {p}" for p in problems)
-    if args.out:
-        path = obs.write_trace(args.out, recorder, metrics)
-        print(f"wrote {path} (open at https://ui.perfetto.dev)")
-
-    # 3. measured overlap win under modelled pacing (same data both
-    # depths; one retry absorbs host-scheduler noise)
-    on = 1 << 19 if args.smoke else max(n, 1 << 19)
-    okeys = unique_keys(on, seed=31)
-    ovalues = random_values(on, seed=32)
-    obatches = list(zip(np.array_split(okeys, 8), np.array_split(ovalues, 8)))
-
-    def measured(d: int) -> float:
-        table = DistributedHashTable(
-            on * 2, topology=_resolve_topology_arg(args)
-        )
-        driver = AsyncCascadeDriver(
-            table, depth=d, pace="modelled", measure=True, scale=500.0
-        )
-        res = driver.insert_stream(iter(obatches))
-        table.free()
-        return res.measured_makespan
-
-    for attempt in (1, 2):
-        m1, md = measured(1), measured(depth)
-        if md < m1:
-            break
-    reduction = (1 - md / m1) * 100
-    print(
-        f"overlap      measured makespan {m1 * 1e3:.1f} ms -> "
-        f"{md * 1e3:.1f} ms at depth {depth} ({reduction:.1f}% reduction)"
-    )
-    if md >= m1:
-        failures.append(
-            f"overlap: depth={depth} measured makespan {md * 1e3:.1f} ms "
-            f"did not beat depth=1 {m1 * 1e3:.1f} ms"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print("stream smoke: pipelined, bounded, bit-identical, and overlapped")
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Hierarchical-topology exercise: cluster bit-identity + NIC charges.
-
-    Runs the same insert/erase/query workload through a flat 4-GPU node,
-    a ``cluster:1x4`` (one-node cluster), and a ``cluster:2x2`` (same
-    four GPUs split across two nodes).  Success means: the one-node
-    cluster is bit-identical to the flat node *including* its charged
-    bytes; the two-node cluster reaches the identical table state and
-    query answers while charging part of the all-to-all to the NIC; and
-    the traced run validates as Perfetto output with ``transpose.intra``
-    / ``transpose.inter`` child spans (``--smoke`` is the CI gate).
-    """
-    import numpy as np
-
-    from repro import obs
-    from repro.multigpu import DistributedHashTable, topology as build_topology
-
-    from repro.workloads import random_values, unique_keys
-
-    n = 1 << 13 if args.smoke else args.n
-    keys = unique_keys(n, seed=41)
-    values = random_values(n, seed=42)
-    erase_keys = keys[: n // 4]
-    query_keys = keys
-    failures: list[str] = []
-
-    def run(spec: str):
-        """One full cascade workload; returns (state, answers, reports)."""
-        table = DistributedHashTable(int(n / 0.8), topology=build_topology(spec))
-        try:
-            ins = table.insert(keys, values, source="host")
-            table.erase(erase_keys)
-            got, found, qry = table.query(query_keys, source="host")
-            ks, vs = table.export()
-            order = np.argsort(ks, kind="stable")
-            state = (len(table), ks[order].tobytes(), vs[order].tobytes())
-            charges = tuple(
-                (r.op, r.alltoall_bytes, r.alltoall_seconds,
-                 r.reverse_bytes, r.reverse_seconds)
-                for r in (ins, qry)
-            )
-        finally:
-            table.free()
-        return state, (got.tobytes(), found.tobytes()), charges, (ins, qry)
-
-    flat_state, flat_ans, flat_charges, _ = run("p100:4")
-
-    with obs.session() as (recorder, metrics):
-        one_state, one_ans, one_charges, (one_ins, one_qry) = run("cluster:1x4")
-        two_state, two_ans, two_charges, (two_ins, two_qry) = run("cluster:2x2")
-
-    # 1. one-node cluster: bit-identical to flat, charges included
-    if one_state != flat_state or one_ans != flat_ans:
-        failures.append("cluster:1x4 state/answers differ from flat p100:4")
-    if one_charges != flat_charges:
-        failures.append("cluster:1x4 charged bytes/seconds differ from flat")
-    if one_ins.alltoall_inter_bytes or one_qry.reverse_inter_bytes:
-        failures.append("cluster:1x4 charged traffic to the NIC")
-    print(
-        f"identity     cluster:1x4 vs p100:4: {n} pairs, bit-identical="
-        f"{one_state == flat_state and one_charges == flat_charges}"
-    )
-
-    # 2. two-node cluster: same data, NIC-charged exchange
-    if two_state != flat_state or two_ans != flat_ans:
-        failures.append("cluster:2x2 state/answers differ from flat p100:4")
-    inter = two_ins.alltoall_inter_bytes + two_qry.alltoall_inter_bytes
-    if inter <= 0:
-        failures.append("cluster:2x2 charged no inter-node traffic")
-    if two_ins.num_nodes != 2:
-        failures.append(f"cluster:2x2 report num_nodes={two_ins.num_nodes}")
-    total = two_ins.alltoall_intra_bytes + two_ins.alltoall_inter_bytes
-    if total != two_ins.alltoall_bytes:
-        failures.append(
-            f"cluster:2x2 intra+inter {total} != total {two_ins.alltoall_bytes}"
-        )
-    print(
-        f"hierarchy    cluster:2x2: identical state, "
-        f"{inter} B over the NIC "
-        f"({two_ins.alltoall_inter_seconds * 1e6:.1f} us inter-level)"
-    )
-
-    # 3. trace: hierarchical child spans + valid Perfetto output
-    intra_spans = [s for s in recorder.spans if s.name == "transpose.intra"]
-    inter_spans = [s for s in recorder.spans if s.name == "transpose.inter"]
-    if not intra_spans or not inter_spans:
-        failures.append(
-            f"trace: expected transpose.intra/inter spans, got "
-            f"{len(intra_spans)}/{len(inter_spans)}"
-        )
-    data = obs.to_perfetto(recorder, metrics)
-    problems = obs.validate_trace(data)
-    failures.extend(f"trace: {p}" for p in problems)
-    if args.out:
-        path = obs.write_trace(args.out, recorder, metrics)
-        print(f"wrote {path} (open at https://ui.perfetto.dev)")
-    print(
-        f"trace        {len(recorder.spans)} spans, "
-        f"{len(intra_spans)} intra + {len(inter_spans)} inter transpose "
-        f"levels, valid={not problems}"
-    )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print("cluster smoke: hierarchical, NIC-charged, and bit-identical")
-    return 0
-
-
-def _cmd_compact(args: argparse.Namespace) -> int:
-    """Compact-layout exercise: bit-identity + narrower charged bytes.
-
-    Four gates, all of which must hold: (1) a ``compact`` table returns
-    bit-identical query/erase results and counter-consistent reports vs
-    ``aos`` and ``soa`` across probings, kernel backends, and
-    growth/tombstone churn; (2) a distributed cascade over compact
-    shards at quotienting capacity charges strictly fewer modelled
-    VRAM/exchange bytes while answering identically; (3) a compact
-    snapshot round-trips through :mod:`repro.core.serialize` into any
-    layout; (4) the perf model prices the narrower record no slower.
-    """
-    import numpy as np
-
-    from repro.core import GrowthPolicy, WarpDriveHashTable
-    from repro.core.serialize import load_table, save_table
-    from repro.core.store import STORE_LAYOUTS, slot_record_bytes
-    from repro.multigpu import DistributedHashTable
-    from repro.perfmodel import P100, predicted_op_seconds
-    from repro.workloads import random_values, unique_keys
-
-    n = 2000 if args.smoke else args.n
-    keys = unique_keys(n, seed=51)
-    values = random_values(n, seed=52)
-    failures: list[str] = []
-
-    # 1. single-table bit-identity under growth + tombstone churn
-    def churn(layout: str, probing: str, kernels: str):
-        t = WarpDriveHashTable(
-            max(256, n // 4), probing=probing, layout=layout,
-            growth=GrowthPolicy(max_load=0.8),
-        )
-        for ck, cv in zip(np.array_split(keys, 4), np.array_split(values, 4)):
-            t.insert(ck, cv, kernels=kernels)
-        erased = t.erase(keys[: n // 2], kernels=kernels)
-        t.insert(keys[: n // 4], values[: n // 4], kernels=kernels)
-        got, found = t.query(keys, kernels=kernels)
-        # record widths stay at 8 B below the 2^16 quotienting crossover,
-        # so the sector counters must agree across layouts exactly
-        state = (
-            got.tobytes(), found.tobytes(), np.asarray(erased).tobytes(),
-            len(t), t.grows, t.counter.load_sectors, t.counter.store_sectors,
-        )
-        record = t.store.record_bytes
-        t.free()
-        return state, record
-
-    combos = 0
-    for probing in ("window", "double", "linear"):
-        for kernels in ("fast", "compiled"):
-            states = {
-                layout: churn(layout, probing, kernels)[0]
-                for layout in sorted(STORE_LAYOUTS)
-            }
-            combos += 1
-            if len(set(states.values())) != 1:
-                failures.append(
-                    f"identity: layouts diverge at probing={probing} "
-                    f"kernels={kernels}"
-                )
-    print(f"identity     {combos} probing x kernel combos, "
-          f"{len(STORE_LAYOUTS)} layouts, grown+churned: "
-          f"{'DIVERGED' if failures else 'bit-identical'}")
-
-    # 2. distributed: narrower charges at quotienting capacity
-    def cascade(layout: str):
-        t = DistributedHashTable(
-            (1 << 17) * 4, topology="p100:4", layout=layout
-        )
-        ins = t.insert(keys, values)
-        got, found, qry = t.query(keys)
-        t.free()
-        return ins, qry, (got.tobytes(), found.tobytes())
-
-    ins_a, qry_a, ans_a = cascade("aos")
-    ins_c, qry_c, ans_c = cascade("compact")
-    if ans_a != ans_c:
-        failures.append("cascade: compact answers differ from aos")
-    if not (ins_c.table_bytes < ins_a.table_bytes):
-        failures.append("cascade: compact did not shrink modelled VRAM")
-    if not (ins_c.alltoall_bytes < ins_a.alltoall_bytes):
-        failures.append("cascade: compact did not shrink all-to-all bytes")
-    if not (qry_c.reverse_bytes < qry_a.reverse_bytes):
-        failures.append("cascade: compact did not shrink reverse bytes")
-    print(
-        f"cascade      4x P100 at 2^17/GPU: record "
-        f"{ins_a.record_bytes} -> {ins_c.record_bytes} B, VRAM "
-        f"{ins_a.table_bytes >> 20} -> {ins_c.table_bytes >> 20} MiB, "
-        f"all-to-all {ins_a.alltoall_bytes} -> {ins_c.alltoall_bytes} B"
-    )
-
-    # 3. serialize: compact snapshot loads bit-identically into aos
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        t = WarpDriveHashTable(1 << 12, layout="compact")
-        t.insert(keys, values)
-        save_table(t, f"{tmp}/compact.npz")
-        back = load_table(f"{tmp}/compact.npz")
-        if back.config.layout != "compact" or not np.array_equal(
-            back.slots, t.slots
-        ):
-            failures.append("serialize: compact round-trip lost slots")
-        t.free()
-        back.free()
-    print("serialize    compact -> disk -> compact: packed slots preserved")
-
-    # 4. perf model: narrower record never predicts slower
-    for g in (8, 16, 32):
-        wide = predicted_op_seconds(0.8, g, P100, op="query", record_bytes=8)
-        narrow = predicted_op_seconds(
-            0.8, g, P100, op="query",
-            record_bytes=slot_record_bytes("compact", 1 << 24),
-        )
-        if narrow > wide:
-            failures.append(f"perfmodel: compact slower at g={g}")
-    print("perfmodel    compact record priced <= packed at g in {8,16,32}")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print("compact smoke: bit-identical, narrower charges, round-trippable")
-    return 0
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_budget(text: str) -> float:
@@ -851,108 +355,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if result.failures else 0
 
 
-def _serve_smoke() -> int:
-    """The ``repro serve --smoke`` CI gate: correctness + faults.
-
-    Four gates on in-process servers: (1) insert/query/erase round
-    trips through the socket layer; (2) erased keys are not found;
-    (3) a malformed frame draws a typed error, never a hang or a
-    corrupted table; (4) a saturated admission budget rejects with
-    ``OVERLOADED`` and counts ``serve.rejected``.
-    """
-    import socket as socketlib
-
-    import numpy as np
-
-    from repro.serve import (
-        ErrorCode,
-        FrameType,
-        KVClient,
-        KVServer,
-        ServeError,
-        read_frame,
-    )
-
-    failures: list[str] = []
-    server = KVServer.create(
-        num_gpus=4, capacity=1 << 13, oplog=True, batch_window=0.0005
-    ).start()
-    try:
-        rng = np.random.default_rng(5)
-        keys = np.arange(1, 513, dtype=np.uint32)
-        values = rng.integers(0, 1 << 32, size=512, dtype=np.uint32)
-        with KVClient(server.address, name="smoke") as client:
-            client.insert(keys, values)
-            got, found = client.query(keys)
-            if not (found.all() and (got == values).all()):
-                failures.append("serve: query round-trip mismatch")
-            erased = client.erase(keys[:64])
-            if int(erased.sum()) != 64:
-                failures.append("serve: erase round-trip mismatch")
-
-            # gate 2: erased keys are gone, the rest still answer
-            _, refound = client.query(keys)
-            if refound[:64].any():
-                failures.append("serve: erased keys still found")
-            if not refound[64:].all():
-                failures.append("serve: erase dropped keys it was not given")
-
-        # gate 3: garbage bytes → typed error frame, connection closed
-        raw = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        raw.connect(server.address)
-        raw.sendall(b"\x00" * 12)
-        reply = read_frame(raw)
-        if reply.type != FrameType.ERROR:
-            failures.append("serve: malformed header not answered typed")
-        raw.close()
-
-        # gate 4: a one-frame budget rejects the second in-flight frame
-        tiny = KVServer.create(
-            num_gpus=2,
-            capacity=1 << 10,
-            admission_bytes=1 << 10,
-            batch_window=0.2,  # park frame one in the coalescer window
-        ).start()
-        try:
-            with KVClient(
-                tiny.address, name="flood", presplit=False
-            ) as flood:
-                overloaded = False
-                try:
-                    flood.insert(
-                        np.arange(1, 257, dtype=np.uint32),
-                        np.ones(256, dtype=np.uint32),
-                    )
-                    flood.insert(
-                        np.arange(300, 556, dtype=np.uint32),
-                        np.ones(256, dtype=np.uint32),
-                    )
-                except ServeError as exc:
-                    overloaded = exc.code == ErrorCode.OVERLOADED
-            if not overloaded:
-                failures.append("serve: saturated budget never rejected")
-            if not tiny.stats.get("serve.rejected"):
-                failures.append("serve: serve.rejected counter still zero")
-        finally:
-            tiny.close()
-    finally:
-        server.close()
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print(
-        "serve smoke: round-trips, erased-not-found, typed faults, "
-        "and admission backpressure all hold"
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import KVServer
 
-    if args.smoke:
-        return _serve_smoke()
     address = args.socket
     if address is None and args.port is not None:
         address = (args.host, args.port)
@@ -976,8 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_client(args: argparse.Namespace) -> int:
     import json as jsonlib
     import time as timelib
-
-    import numpy as np
 
     from repro.serve import KVClient
     from repro.workloads import random_values, serving_zipf_keys, universe_key_map
@@ -1121,12 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve a distributed table over a unix/TCP socket "
-        "(--smoke is the CI gate)",
-    )
-    serve.add_argument(
-        "--smoke", action="store_true",
-        help="in-process serve/fault/backpressure gate for CI",
+        help="serve a distributed table over a unix/TCP socket",
     )
     serve.add_argument("--m", type=int, default=4, help="GPUs behind the server")
     serve.add_argument(
@@ -1163,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument(
         "--universe", type=int, default=4096, help="distinct keys in the trace"
     )
-    client.add_argument("--batches", type=int, default=16)
+    client.add_argument("--batches", type=_positive_int, default=16)
     client.add_argument("--batch-size", type=int, default=2048)
     client.add_argument("--seed", type=int, default=11)
     client.set_defaults(fn=_cmd_client)
@@ -1191,81 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="pool size for thread/process"
     )
     trace.add_argument(
-        "--smoke", action="store_true", help="tiny n for a quick sanity run"
-    )
-    trace.add_argument(
         "--out", default="repro.trace.json", help="trace_event JSON output path"
     )
     trace.set_defaults(fn=_cmd_trace)
-
-    grow = sub.add_parser(
-        "grow",
-        help="dynamic-growth exercise across every table flavour",
-    )
-    grow.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed workload for CI (capacity 256)",
-    )
-    grow.add_argument("--capacity", type=int, default=1024,
-                      help="starting capacity per stage")
-    grow.add_argument("--scale", type=float, default=4.0,
-                      help="ingest scale x starting capacity pairs")
-    grow.add_argument("--max-load", type=float, default=0.9,
-                      help="GrowthPolicy load ceiling")
-    grow.add_argument("--out", default=None,
-                      help="optional Perfetto trace output path")
-    grow.set_defaults(fn=_cmd_grow)
-
-    stream = sub.add_parser(
-        "stream",
-        help="streaming-pipeline exercise: depth identity, backpressure, "
-        "measured overlap",
-    )
-    stream.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed workload for CI",
-    )
-    stream.add_argument("--n", type=int, default=1 << 17,
-                        help="pairs to stream (8 batches)")
-    stream.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
-    )
-    stream.add_argument("--m", type=int, default=None,
-                        help="GPUs in the cascade")
-    stream.add_argument("--depth", type=int, default=2,
-                        help="pipelined in-flight batch depth to validate")
-    stream.add_argument("--out", default=None,
-                        help="optional Perfetto trace output path")
-    stream.set_defaults(fn=_cmd_stream)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="hierarchical-topology exercise: one-node cluster "
-        "bit-identity, NIC charging, traced exchange levels",
-    )
-    cluster.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed workload for CI",
-    )
-    cluster.add_argument("--n", type=int, default=1 << 16,
-                         help="pairs to ingest per topology")
-    cluster.add_argument("--out", default=None,
-                         help="optional Perfetto trace output path")
-    cluster.set_defaults(fn=_cmd_cluster)
-
-    compact = sub.add_parser(
-        "compact",
-        help="compact slot layout exercise: cross-layout bit-identity "
-        "and narrower charged bytes",
-    )
-    compact.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed workload for CI",
-    )
-    compact.add_argument("--n", type=int, default=1 << 14,
-                         help="pairs per identity combo")
-    compact.set_defaults(fn=_cmd_compact)
 
     race = sub.add_parser(
         "racecheck",

@@ -13,8 +13,8 @@ front-end cache.  Clients (:mod:`repro.serve.client`) know the server's
 partition policy and pre-split batches by shard.
 
 ``repro serve`` / ``repro client`` expose the pair on the CLI;
-``repro serve --smoke`` is the CI gate; ``docs/serving.md`` documents
-the frame formats, the coalescer, and the backpressure semantics.
+``tests/serve/`` gates it; ``docs/serving.md`` documents the frame
+formats, the coalescer, and the backpressure semantics.
 """
 
 from .client import KVClient

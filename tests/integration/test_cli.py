@@ -20,6 +20,11 @@ class TestParser:
         args = build_parser().parse_args(["rates", "--loads", "0.5"])
         assert args.loads == [0.5]
 
+    @pytest.mark.parametrize("batches", ["0", "-3"])
+    def test_client_rejects_empty_zipf_run(self, batches):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["client", "--batches", batches])
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -27,12 +32,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Tesla P100" in out
         assert "calibration" in out
+        subsystems = next(
+            line for line in out.splitlines() if line.startswith("subsystems:")
+        ).split()
+        assert {"serve", "obs"} <= set(subsystems)
 
     def test_demo(self, capsys):
         assert main(["demo", "--n", "5000"]) == 0
         out = capsys.readouterr().out
         assert "demo OK" in out
         assert "G inserts/s" in out
+
+    def test_demo_labels_the_resolved_topology(self, capsys):
+        assert main(["demo", "--n", "5000", "--topology", "pcie:2"]) == 0
+        out = capsys.readouterr().out
+        assert "2x P100" in out and "4x P100" not in out
 
     def test_rates(self, capsys):
         assert main(["rates", "--n", "2048", "--loads", "0.5", "--groups", "4"]) == 0

@@ -78,13 +78,15 @@ class TestCompactCascade:
             assert c[op].alltoall_bytes == a[op].alltoall_bytes
             assert c[op].reverse_bytes == a[op].reverse_bytes
 
-    @pytest.mark.slow
-    def test_strictly_fewer_bytes_past_crossover(self):
+    @pytest.mark.parametrize(
+        "n", [2000, pytest.param(30000, marks=pytest.mark.slow)]
+    )
+    def test_strictly_fewer_bytes_past_crossover(self, n):
         """At 2^17 slots/GPU (record 7 B) the compact cascade owes
         strictly fewer VRAM, all-to-all, and reverse bytes at equal n."""
         cap = 1 << 17
         assert slot_record_bytes("compact", cap) == 7
-        a, c = _run("aos", cap, 30000), _run("compact", cap, 30000)
+        a, c = _run("aos", cap, n), _run("compact", cap, n)
         assert c["answers"] == a["answers"]
         for op in ("ins", "qry", "ers"):
             assert c[op].table_bytes < a[op].table_bytes

@@ -41,6 +41,8 @@ from repro.multigpu.topology import (
     pcie_only_node,
     topology,
 )
+from repro.obs import runtime as obs
+from repro.obs.export import to_perfetto, validate_trace
 from repro.options import reset_deprecation_warnings
 from repro.workloads.distributions import random_values, unique_keys
 
@@ -138,9 +140,11 @@ class TestOneNodeClusterBitIdentity:
 
     def test_two_node_cluster_same_state_nic_charged(self):
         """2x2 reaches the identical table state (node-major global ids
-        keep the shard assignment) but routes bytes over the NIC."""
+        keep the shard assignment) but routes bytes over the NIC, and
+        traces both exchange levels under each cascade's all-to-all."""
         flat = run_workload(p100_nvlink_node(4), 300, 7, churn=True)
-        two = run_workload(topology("cluster:2x2"), 300, 7, churn=True)
+        with obs.session() as (recorder, metrics):
+            two = run_workload(topology("cluster:2x2"), 300, 7, churn=True)
         assert two["state"] == flat["state"]
         assert two["outputs"] == flat["outputs"]
         insert_rep = two["reports"][0]
@@ -151,6 +155,19 @@ class TestOneNodeClusterBitIdentity:
             + insert_rep["alltoall_inter_bytes"]
             == insert_rep["alltoall_bytes"]
         )
+        alltoall = {
+            s.span_id for s in recorder.spans if s.name == "all-to-all"
+        }
+        for level in ("intra", "inter"):
+            spans = [
+                s for s in recorder.spans if s.name == f"transpose.{level}"
+            ]
+            assert all(s.parent_id in alltoall for s in spans)
+            # one span per cascade, carrying that cascade's level charge
+            assert [s.attrs["nbytes"] for s in spans] == [
+                rep[f"alltoall_{level}_bytes"] for rep in two["reports"]
+            ]
+        assert validate_trace(to_perfetto(recorder, metrics)) == []
 
 
 class TestTwoLevelMultisplit:

@@ -9,7 +9,7 @@ from repro.obs.export import validate_trace
 class TestTraceCommand:
     def test_smoke_writes_valid_trace(self, tmp_path, capsys):
         out = tmp_path / "smoke.trace.json"
-        assert main(["trace", "--smoke", "--out", str(out)]) == 0
+        assert main(["trace", "--n", "4096", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "wrote" in printed and "spans" in printed
 
@@ -32,7 +32,7 @@ class TestTraceCommand:
 
     def test_smoke_obeys_m(self, tmp_path):
         out = tmp_path / "m2.trace.json"
-        assert main(["trace", "--smoke", "--m", "2", "--out", str(out)]) == 0
+        assert main(["trace", "--n", "4096", "--m", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         shards = {
             e["tid"]

@@ -20,6 +20,7 @@ from repro.errors import AllocationError, ConfigurationError
 from repro.multigpu import DistributedHashTable
 from repro.multigpu.topology import NodeTopology
 from repro.obs import runtime as obs
+from repro.obs.export import to_perfetto, validate_trace
 from repro.pipeline import (
     AsyncCascadeDriver,
     PipelineAborted,
@@ -280,6 +281,25 @@ class TestBackpressure:
         assert metrics.counter("pipeline.stall.count") >= 1
         assert metrics.counter("pipeline.stall.seconds") > 0
         assert metrics.gauge("queue.pipeline.staging_bytes.peak_depth") <= per_batch
+        # with room to stage ahead, the stager thread stages a wave while
+        # the caller commits or paces an earlier one: the spans overlap
+        with obs.session() as (recorder, metrics):
+            AsyncCascadeDriver(
+                DistributedHashTable(1 << 13, topology=node), depth=4,
+                pace="modelled", scale=50.0,
+            ).insert_stream(batches)
+        staged = [
+            s for s in recorder.spans
+            if s.category == "pipeline" and s.name.endswith(" stage")
+        ]
+        busy = [
+            s for s in recorder.spans
+            if s.category == "batch" or s.name == "pipeline.pace"
+        ]
+        assert any(
+            s.start < b.end and b.start < s.end for s in staged for b in busy
+        ), "no staging span overlapped a commit/occupancy span"
+        assert validate_trace(to_perfetto(recorder, metrics)) == []
 
 
 class TestOutOfCore:

@@ -10,6 +10,8 @@ enough to stay inside the tier-1 budget.
 import re
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TESTS = REPO_ROOT / "tests"
 
@@ -74,6 +76,75 @@ class TestMarkerConfig:
         for path in TESTS.rglob("test_*.py"):
             for mark in re.findall(r"pytest\.mark\.(\w+)", path.read_text()):
                 assert mark in registered, f"{path.name}: unregistered mark {mark}"
+
+
+#: Tier-1 tests that carry the checks the retired ``--smoke`` CLI gates
+#: made (trace, grow, stream, cluster, compact, serve); pytest is the
+#: only gate runner, so none of them may leave tier-1.
+GATE_CHECKS = (
+    "obs/test_cli_trace.py::TestTraceCommand::test_smoke_writes_valid_trace",
+    "core/test_growth.py::TestPolicyDrivenIngest::test_four_x_ingest_single_table",
+    "core/test_growth.py::TestPartitionedGrowth::test_four_x_ingest",
+    "core/test_growth.py::TestGrowthObservability::test_rehash_metrics_counted",
+    "multigpu/test_distributed_growth.py::TestCoordinatedGrowth::"
+    "test_four_x_ingest_without_insertion_error",
+    "multigpu/test_distributed_growth.py::TestCoordinatedGrowth::"
+    "test_grow_reports_and_transfer_records",
+    "multigpu/test_distributed_growth.py::TestGrowthObservability::"
+    "test_trace_has_shard_growth_span_and_validates",
+    "multigpu/test_distributed_growth.py::TestDriverGrowth::"
+    "test_mid_stream_growth_is_transparent",
+    "multigpu/test_distributed_growth.py::TestDriverGrowth::"
+    "test_measured_timeline_includes_grow_span",
+    "pipeline/test_pipeline_depth.py::TestDepthEquivalence::"
+    "test_insert_query_bit_identical",
+    "pipeline/test_pipeline_depth.py::TestMeasuredOverlap::"
+    "test_paced_depth2_beats_depth1_measured",
+    "pipeline/test_staging.py::TestBackpressure::"
+    "test_budget_bounds_peak_in_flight_bytes",
+    "pipeline/test_staging.py::TestBackpressure::test_stalls_surface_in_obs",
+    "multigpu/test_hierarchical.py::TestOneNodeClusterBitIdentity::"
+    "test_flat_vs_one_node_cluster",
+    "multigpu/test_hierarchical.py::TestOneNodeClusterBitIdentity::"
+    "test_one_node_cluster_charges_nothing_to_the_nic",
+    "multigpu/test_hierarchical.py::TestOneNodeClusterBitIdentity::"
+    "test_two_node_cluster_same_state_nic_charged",
+    "core/test_compact_layout.py::TestChurnBitIdentity::test_layouts_agree",
+    "core/test_compact_layout.py::TestModelledFootprint::"
+    "test_perfmodel_accepts_record_bytes",
+    "multigpu/test_compact_distribution.py::TestCompactCascade::"
+    "test_strictly_fewer_bytes_past_crossover",
+    "core/test_serialize.py::TestCompactSnapshots::test_layout_round_trips",
+    "serve/test_server_client.py::TestRoundTrips::test_insert_then_query",
+    "serve/test_server_client.py::TestRoundTrips::test_erase_then_query",
+    "serve/test_server_client.py::TestReadYourWrites::"
+    "test_erased_keys_are_not_found",
+    "serve/test_faults.py::TestBrokenStreams::"
+    "test_malformed_header_gets_typed_error_then_close",
+    "serve/test_faults.py::TestAdmissionOverflow::"
+    "test_overflow_rejects_with_typed_overloaded",
+)
+
+
+def _decorators(text: str, start: int) -> str:
+    """The decorator lines directly above the header at ``start``."""
+    head = text[:start]
+    return head[head.rfind("\n\n"):]
+
+
+class TestGateChecksStayInTier1:
+    @pytest.mark.parametrize("node", GATE_CHECKS)
+    def test_gate_check_is_not_slow_or_fuzz(self, node):
+        path, cls, func = node.split("::")
+        text = (TESTS / path).read_text()
+        assert not re.search(
+            r"^pytestmark\s*=.*\b(slow|fuzz)\b", text, re.M
+        ), path
+        cls_at = text.index(f"class {cls}")
+        func_at = text.index(f"def {func}(", cls_at)
+        for start in (cls_at, func_at):
+            block = _decorators(text, start)
+            assert not re.search(r"@pytest\.mark\.(slow|fuzz)\b", block), node
 
 
 class TestObsTree:
@@ -153,11 +224,6 @@ class TestGrowthTree:
         assert "from profiles import examples" in text
         assert "settings(max_examples" not in text
 
-    def test_ci_runs_grow_smoke(self):
-        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        assert "make grow-smoke" in ci
-        assert "grow-smoke:" in (REPO_ROOT / "Makefile").read_text()
-
 
 class TestCompiledTree:
     """The compiled-backend suite stays wired into every gate."""
@@ -200,10 +266,10 @@ class TestCompiledTree:
             assert "from profiles import examples" in text, name
             assert "settings(max_examples" not in text, name
 
-    def test_ci_runs_compiled_smoke_on_both_legs(self):
+    def test_ci_runs_compiled_smoke(self):
         """`make bench-compiled` exercises the cc provider (or its
-        auto-fallback) on the tier-1 leg, the one CI leg; there is no
-        optional extra for a second provider to install."""
+        auto-fallback) on the tier-1 job; there is no optional extra for
+        a second provider to install."""
         assert _tier1_runs("bench-compiled")
         assert "compiled = [" not in _pyproject()
 
@@ -243,11 +309,6 @@ class TestPipelineTree:
         text = (TESTS / "pipeline" / "test_pipeline_depth.py").read_text()
         assert "from profiles import examples" in text
         assert "settings(max_examples" not in text
-
-    def test_ci_runs_stream_smoke_on_both_legs(self):
-        """`make stream-smoke` exercises the pipelined overlap gate on
-        the tier-1 leg."""
-        assert _tier1_runs("stream-smoke")
 
 
 class TestServeTree:
@@ -290,11 +351,6 @@ class TestServeTree:
         assert "from profiles import examples" in text
         assert "settings(max_examples" not in text
 
-    def test_ci_runs_serve_smoke_on_both_legs(self):
-        """`make serve-smoke` boots a live server atop the default
-        kernel path on the tier-1 leg."""
-        assert _tier1_runs("serve-smoke")
-
 
 class TestClusterTree:
     """The hierarchical-topology suite stays wired into every gate."""
@@ -324,11 +380,6 @@ class TestClusterTree:
         assert "from profiles import examples" in text
         assert "settings(max_examples" not in text
 
-    def test_ci_runs_cluster_smoke_on_both_legs(self):
-        """`make cluster-smoke` gates the one-node-cluster bit-identity
-        and NIC charging on the tier-1 leg."""
-        assert _tier1_runs("cluster-smoke")
-
 
 class TestCompactTree:
     """The compact-slot-layout suite stays wired into every gate."""
@@ -357,11 +408,14 @@ class TestCompactTree:
         assert "tests/multigpu/test_compact_distribution*.py" in text
 
     def test_crossover_cascade_is_slow_marked(self):
-        """The 2^17-per-shard strictly-fewer-bytes cascade is the one
-        expensive compact test; it must carry the `slow` marker."""
+        """The 30k-pair 2^17-per-shard strictly-fewer-bytes cascade is
+        the one expensive compact test; that input must carry the `slow`
+        marker (its cheap 2000-pair input stays in tier-1)."""
         text = (TESTS / "multigpu" / "test_compact_distribution.py").read_text()
         match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*crossover\w*)", text
+            r"pytest\.param\(30000, marks=pytest\.mark\.slow\)"
+            r"[^@]*?\n\s*def (\w*crossover\w*)",
+            text,
         )
         assert match, "past-crossover cascade test must be slow-marked"
 
@@ -370,11 +424,6 @@ class TestCompactTree:
             text = (TESTS / name).read_text()
             assert "from profiles import examples" in text, name
             assert "settings(max_examples" not in text, name
-
-    def test_ci_runs_compact_smoke_on_both_legs(self):
-        """`make compact-smoke` gates cross-layout bit-identity and the
-        narrower modelled charges on the tier-1 leg."""
-        assert _tier1_runs("compact-smoke")
 
 
 class TestHypothesisBudget:
