@@ -47,19 +47,7 @@ from .distribution import (
     distribution_speedup,
     format_distribution_records,
     run_distribution_suite,
-)
-from .wallclock import (
-    WallClockRecord,
-    bench_pipeline_depth,
-    bench_single_shard,
-    format_records,
-    run_wallclock_suite,
     write_results,
-)
-from .serving import (
-    ServingRecord,
-    format_serving_records,
-    run_serving_suite,
 )
 
 __all__ = [
@@ -86,21 +74,13 @@ __all__ = [
     "evaluate_claims",
     "format_scorecard",
     "LayoutAblation",
-    "WallClockRecord",
-    "bench_pipeline_depth",
-    "bench_single_shard",
-    "run_wallclock_suite",
-    "write_results",
-    "format_records",
     "DistributionRecord",
     "run_distribution_suite",
+    "write_results",
     "ClusterScaleRecord",
     "run_cluster_suite",
     "format_cluster_records",
     "cluster_scaling_efficiency",
     "format_distribution_records",
     "distribution_speedup",
-    "ServingRecord",
-    "run_serving_suite",
-    "format_serving_records",
 ]

@@ -8,14 +8,16 @@ counting scatter, index-routed exchange, precomputed inverse
 permutation).  Both produce bit-identical outputs and modelled
 accounting (property-tested in ``tests/multigpu``); this suite measures
 the real seconds the fusion saves, written to ``BENCH_distribution.json``
-with the host CPU count, like ``BENCH_wallclock.json``.
+with the host CPU count.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "run_distribution_suite",
     "format_distribution_records",
     "distribution_speedup",
+    "write_results",
 ]
 
 PHASES = ("multisplit", "transpose", "reverse", "total")
@@ -61,7 +64,7 @@ class DistributionRecord:
     kernels: str = "fast"
     #: slot storage policy of the cascade the phases fed ("aos" | "soa"
     #: | "compact") — the host distribution phases move packed pairs
-    #: either way, but rows stay mergeable with ``BENCH_wallclock.json``
+    #: either way
     layout: str = "aos"
 
     schema_version = 2
@@ -88,6 +91,14 @@ class DistributionRecord:
                 "layout": self.layout,
             },
         )
+
+
+def write_results(records: list, path: str | Path) -> Path:
+    """Persist :class:`repro.obs.Reportable` records as a JSON array of
+    row objects."""
+    path = Path(path)
+    path.write_text(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
+    return path
 
 
 def _time_path(path: str, packed_chunks, partition, topology):

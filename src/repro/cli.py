@@ -13,8 +13,8 @@ figures
 scorecard
     Grade every checkable paper claim against the modelled numbers.
 bench
-    Measured wall-clock suites: shard-execution backends, the
-    fused-vs-reference distribution path, and served queries.
+    Measured wall-clock comparison of the fused and reference
+    distribution paths (host speed as a whole is ``perfbench/``).
 serve
     Serve a distributed table over a unix or TCP socket.
 client
@@ -171,64 +171,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
-        bench_pipeline_depth,
         distribution_speedup,
         format_distribution_records,
-        format_records,
         run_distribution_suite,
-        run_wallclock_suite,
         write_results,
     )
 
     n = 1 << 12 if args.smoke else args.n
-    if args.kernels == "ref" and not args.smoke and n > (1 << 14):
-        print(
-            "note: kernels='ref' runs the per-operation verification "
-            "kernels; large n will take a very long time (--smoke "
-            "recommended)"
-        )
-    # resolve --topology/--m once (mutually exclusive) so every suite
-    # row reports the same GPU count
-    num_gpus = _resolve_topology_arg(args).num_devices
-    records: list = []
-    if args.suite in ("wallclock", "all"):
-        wall = run_wallclock_suite(
-            n=n,
-            m=args.m,
-            topology=args.topology,
-            engines=tuple(args.engines) if args.engines else None,
-            workers=args.workers,
-            kernels=args.kernels,
-        )
-        if args.kernels != "ref":
-            wall.extend(
-                bench_pipeline_depth(n, m=args.m, topology=args.topology)
-            )
-        print(format_records(wall))
-        if args.kernels == "ref":
-            print(
-                "(ref kernels: single-shard rows only — the cascade has "
-                "no ref-level dispatch)"
-            )
-        records.extend(wall)
-    if args.suite in ("distribution", "all"):
-        dist = run_distribution_suite(n=n, m=args.m, topology=args.topology)
-        print(format_distribution_records(dist))
-        print(
-            f"distribution total speedup: "
-            f"{distribution_speedup(dist, 'total'):.2f}x fused vs reference"
-        )
-        records.extend(dist)
-    if args.suite in ("serving", "all"):
-        from repro.bench import format_serving_records, run_serving_suite
-
-        serving = run_serving_suite(
-            num_gpus=num_gpus,
-            batches_per_client=4 if args.smoke else 16,
-            batch_size=4096 if args.smoke else 32768,
-        )
-        print(format_serving_records(serving))
-        records.extend(serving)
+    records = run_distribution_suite(n=n, m=args.m, topology=args.topology)
+    print(format_distribution_records(records))
+    print(
+        f"distribution total speedup: "
+        f"{distribution_speedup(records, 'total'):.2f}x fused vs reference"
+    )
     if args.out:
         path = write_results(records, args.out)
         print(f"wrote {path}")
@@ -440,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     demo = sub.add_parser("demo", help="functional single+multi GPU demo")
-    demo.add_argument("--n", type=int, default=100_000, help="pairs to insert")
+    demo.add_argument(
+        "--n", type=_positive_int, default=100_000, help="pairs to insert"
+    )
     demo.add_argument(
         "--engine",
         choices=("serial", "thread", "process"),
@@ -457,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(fn=_cmd_demo)
 
     rates = sub.add_parser("rates", help="modelled single-GPU rate table")
-    rates.add_argument("--n", type=int, default=1 << 14)
+    rates.add_argument("--n", type=_positive_int, default=1 << 14)
     rates.add_argument(
         "--loads", type=float, nargs="+", default=[0.5, 0.8, 0.95]
     )
@@ -480,9 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     score.set_defaults(fn=_cmd_scorecard)
 
     bench = sub.add_parser(
-        "bench", help="measured wall-clock suites (engines, distribution)"
+        "bench",
+        help="measured fused-vs-reference distribution-path comparison",
     )
-    bench.add_argument("--n", type=int, default=1 << 18, help="keys per bench")
+    bench.add_argument(
+        "--n", type=_positive_int, default=1 << 18, help="keys per bench"
+    )
     bench.add_argument(
         "--m", type=int, default=None,
         help="GPUs in the cascade (default 4; exclusive with --topology)",
@@ -492,30 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
     )
     bench.add_argument(
-        "--suite",
-        choices=("wallclock", "distribution", "serving", "all"),
-        default="all",
-        help="which measured suite(s) to run",
-    )
-    bench.add_argument(
         "--smoke", action="store_true", help="tiny n for a quick sanity run"
-    )
-    bench.add_argument(
-        "--engines",
-        nargs="+",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="backends to compare (default: all)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None, help="pool size for thread/process"
-    )
-    bench.add_argument(
-        "--kernels",
-        choices=("fast", "ref", "compiled"),
-        default="fast",
-        help="kernel backend for the wallclock suite (compiled falls "
-        "back to fast without a JIT provider; rows record what ran)",
     )
     bench.add_argument(
         "--out", default=None, help="also write records to this JSON path"
@@ -570,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a traced m-GPU cascade and write Perfetto trace_event JSON",
     )
-    trace.add_argument("--n", type=int, default=1 << 16, help="pairs to stream")
+    trace.add_argument(
+        "--n", type=_positive_int, default=1 << 16, help="pairs to stream"
+    )
     trace.add_argument(
         "--m", type=int, default=None,
         help="GPUs in the cascade (default 4; exclusive with --topology)",

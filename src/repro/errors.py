@@ -56,6 +56,3 @@ class DeviceError(ReproError):
 class ExecutionError(ReproError):
     """The shard-execution engine failed (backend misuse, worker crash)."""
 
-
-class KeyNotFoundError(ReproError, KeyError):
-    """Strict-mode query for a key that is not present in the table."""

@@ -6,8 +6,7 @@ Three ways out of the observability spine:
   ``trace_event`` format (open ``chrome://tracing`` or
   https://ui.perfetto.dev and load the ``.trace.json``);
 * :func:`metrics_rows` / :func:`write_metrics` — a flat JSON array of
-  row objects in the same shape as ``BENCH_wallclock.json`` /
-  ``BENCH_distribution.json``;
+  row objects in the same shape as ``BENCH_distribution.json``;
 * :func:`render_rows` / :func:`render_trace` — the ASCII Gantt renderer
   behind :meth:`repro.pipeline.timeline.Timeline.render` and
   :meth:`repro.exec.metrics.MeasuredTimeline.render`, generalized to any

@@ -5,7 +5,6 @@ Every report type the library produces — :class:`~repro.core.report.KernelRepo
 :class:`~repro.pipeline.driver.StreamResult`,
 :class:`~repro.exec.metrics.ShardSpan`,
 :class:`~repro.memory.transfer.TransferRecord`,
-:class:`~repro.bench.wallclock.WallClockRecord`,
 :class:`~repro.bench.distribution.DistributionRecord`,
 :class:`~repro.sanitize.racecheck.RacecheckReport`, and the
 :mod:`repro.obs` span/metric records themselves — implements this

@@ -5,7 +5,8 @@ The hooks wired through :mod:`repro.simt`, :mod:`repro.exec`,
 module.  Disabled (the default) every call is a single attribute check
 returning a shared no-op — zero allocation, no recorder, no lock — so
 the instrumented hot paths run at their uninstrumented speed
-(``benchmarks/bench_wallclock.py`` regressions gate this).  Enabled via
+(``perfbench/`` times them this way; its ``trace.overhead_frac`` is
+the cost of enabling).  Enabled via
 :func:`configure` or the scoped :func:`session`, the same calls record
 into one :class:`~repro.obs.trace.TraceRecorder` and
 :class:`~repro.obs.metrics.MetricsRegistry` pair.

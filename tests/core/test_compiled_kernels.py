@@ -11,6 +11,8 @@ policies, tombstone-heavy churn, and growth episodes.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from profiles import examples
 
+from repro.core.config import HashTableConfig
 from repro.core.growth import GrowthPolicy
 from repro.core.kernels_jit import (
     available_providers,
@@ -26,6 +29,7 @@ from repro.core.kernels_jit import (
     warm,
 )
 from repro.core.table import WarpDriveHashTable
+from repro.multigpu import DistributedHashTable, p100_nvlink_node
 from repro.obs import runtime as obs
 from repro.workloads import random_values, unique_keys
 
@@ -219,3 +223,59 @@ class TestWarmup:
         warm("window", "compact")
         warm("double", "aos")
         assert len(kernels_jit._LOOPS_CACHE) >= 3
+
+
+@needs_provider
+class TestSpeedFloors:
+    """Compiled stays well clear of the vectorized ``fast`` kernels.
+
+    Conservative floors at n = 2^16, best of 3 fresh-table inserts per
+    backend, all in the calling thread (the cascade on the serial
+    engine); a 2-CPU host measured ~7x on both.  They only catch the
+    compiled path regressing towards interpreter speed; host speed as a
+    whole is measured by ``perfbench/``.
+    """
+
+    N = 1 << 16
+
+    def _speedup(self, build, insert) -> float:
+        keys = unique_keys(self.N, seed=11)
+        values = random_values(self.N, seed=12)
+        warm("window", "aos")  # keep the one-time compile off the clock
+        best = {}
+        for kernels in ("fast", "compiled"):
+            best[kernels] = float("inf")
+            for _ in range(3):
+                table = build(keys, kernels)
+                try:
+                    t0 = time.perf_counter()
+                    insert(table, keys, values)
+                    seconds = time.perf_counter() - t0
+                finally:
+                    table.free()
+                best[kernels] = min(best[kernels], seconds)
+        return best["fast"] / best["compiled"]
+
+    def test_single_shard_insert_at_least_3x(self):
+        speedup = self._speedup(
+            lambda keys, kernels: WarpDriveHashTable(
+                config=HashTableConfig.for_load_factor(
+                    keys.size, 0.95, group_size=4
+                ),
+                kernels=kernels,
+            ),
+            lambda table, keys, values: table.insert(keys, values),
+        )
+        assert speedup >= 3.0, f"compiled single-shard insert {speedup:.2f}x"
+
+    def test_cascade_insert_at_least_2x(self):
+        speedup = self._speedup(
+            lambda keys, kernels: DistributedHashTable.for_workload(
+                p100_nvlink_node(4), keys, 0.95,
+                group_size=4, engine="serial", kernels=kernels,
+            ),
+            lambda table, keys, values: table.insert(
+                keys, values, source="device"
+            ),
+        )
+        assert speedup >= 2.0, f"compiled m=4 cascade insert {speedup:.2f}x"

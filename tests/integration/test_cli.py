@@ -25,6 +25,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["client", "--batches", batches])
 
+    @pytest.mark.parametrize("command", ["bench", "rates", "demo", "trace"])
+    def test_size_flag_rejects_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--n", "0"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -74,8 +81,7 @@ class TestCommands:
         out_path = tmp_path / "dist.json"
         assert (
             main(
-                ["bench", "--smoke", "--suite", "distribution",
-                 "--out", str(out_path)]
+                ["bench", "--smoke", "--out", str(out_path)]
             )
             == 0
         )
@@ -84,8 +90,19 @@ class TestCommands:
         assert "vs reference" in out
         assert out_path.exists() and '"cpus"' in out_path.read_text()
 
-    def test_bench_suite_choices(self):
-        args = build_parser().parse_args(["bench", "--smoke"])
-        assert args.suite == "all"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--suite", "warp"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--suite", "distribution"],
+            ["--engines", "serial"],
+            ["--workers", "2"],
+            ["--kernels", "compiled"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_bench_rejects_removed_flags(self, flag):
+        """`repro bench` runs only the distribution suite; the flags of
+        the deleted engine/serving suites are gone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--smoke", *flag])
+        assert exc.value.code == 2

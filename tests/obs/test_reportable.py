@@ -113,16 +113,6 @@ class TestReportTypes:
         assert payload["measured_makespan"] is None  # measure=False
         assert payload["spans"]
 
-    def test_wallclock_record(self):
-        from repro.bench.wallclock import WallClockRecord
-
-        rec = WallClockRecord(
-            bench="single_shard_insert", n=100, m=1,
-            engine="serial", ops_per_s=1e6, seconds=1e-4,
-        )
-        payload = _assert_reportable(rec)
-        assert payload["engine"] == "serial" and payload["cpus"] >= 1
-
     def test_distribution_record(self):
         from repro.bench.distribution import DistributionRecord
 
