@@ -46,7 +46,7 @@ def merge_distribution_rows(records, path: Path) -> Path:
 
 def test_distribution(benchmark):
     records = benchmark.pedantic(
-        lambda: run_distribution_suite(n=1 << 18, m=4, seed=11),
+        lambda: run_distribution_suite(n=1 << 18, topology="p100:4", seed=11),
         iterations=1,
         rounds=1,
     )
@@ -62,7 +62,7 @@ def test_distribution(benchmark):
 
 
 if __name__ == "__main__":
-    rows = run_distribution_suite(n=1 << 18, m=4, seed=11)
+    rows = run_distribution_suite(n=1 << 18, topology="p100:4", seed=11)
     out = merge_distribution_rows(rows, RESULTS)
     print(format_distribution_records(rows))
     print(f"total speedup: {distribution_speedup(rows, 'total'):.2f}x")

@@ -32,7 +32,6 @@ from ..multigpu.alltoall import (
 )
 from ..multigpu.multisplit import multisplit, multisplit_fast
 from ..multigpu.partition_table import PartitionTable
-from ..multigpu.topology import p100_nvlink_node
 from ..multigpu.topology import topology as build_topology
 from ..workloads import random_values, unique_keys
 
@@ -139,7 +138,6 @@ def _time_path(path: str, packed_chunks, partition, topology):
 def run_distribution_suite(
     n: int = 1 << 18,
     *,
-    m: int | None = None,
     topology=None,
     seed: int = 11,
     repeats: int = 5,
@@ -152,15 +150,7 @@ def run_distribution_suite(
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    if topology is not None:
-        if m is not None:
-            raise ConfigurationError(
-                "got both m= and topology=; the topology spec already "
-                "fixes the GPU count (see repro.options)"
-            )
-        topology = build_topology(topology)
-    else:
-        topology = p100_nvlink_node(4 if m is None else m)
+    topology = build_topology(topology)
     m = topology.num_devices
     keys = unique_keys(n, seed=seed)
     values = random_values(n, seed=seed + 1)

@@ -36,6 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.constants import VALID_GROUP_SIZES
+
 
 __all__ = ["main", "build_parser"]
 
@@ -73,32 +75,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 
-def _resolve_topology_arg(args: argparse.Namespace, *, default_m: int = 4):
-    """Build a command's topology from ``--topology`` / ``--m``.
-
-    The two are mutually exclusive — a spec like ``cluster:2x4`` already
-    fixes the GPU count.  Re-resolves the spec on every call so each run
-    starts on fresh simulated devices.
-    """
-    from repro.errors import ConfigurationError
-    from repro.multigpu import p100_nvlink_node
-    from repro.multigpu import topology as build_topology
-
-    spec = getattr(args, "topology", None)
-    m = getattr(args, "m", None)
-    if spec is not None:
-        if m is not None:
-            raise ConfigurationError(
-                "got both --topology and --m; the topology spec already "
-                "fixes the GPU count (see repro.options)"
-            )
-        return build_topology(spec)
-    return p100_nvlink_node(default_m if m is None else m)
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import WarpDriveHashTable
     from repro.multigpu import DistributedHashTable
+    from repro.multigpu import topology as build_topology
     from repro.perfmodel import kernel_seconds, P100, throughput, time_cascade
     from repro.workloads import random_values, unique_keys
 
@@ -117,7 +97,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"modelled {throughput(n, secs) / 1e9:.2f} G inserts/s"
     )
 
-    node = _resolve_topology_arg(args)
+    node = build_topology(args.topology)
     dist = DistributedHashTable.for_workload(
         node, keys, 0.95, group_size=4,
         engine=args.engine, workers=args.workers,
@@ -178,7 +158,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     n = 1 << 12 if args.smoke else args.n
-    records = run_distribution_suite(n=n, m=args.m, topology=args.topology)
+    records = run_distribution_suite(n=n, topology=args.topology)
     print(format_distribution_records(records))
     print(
         f"distribution total speedup: "
@@ -193,11 +173,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.multigpu import DistributedHashTable
+    from repro.multigpu import topology as build_topology
     from repro.workloads import random_values, unique_keys
 
     keys = unique_keys(args.n, seed=3)
     values = random_values(args.n, seed=4)
-    node = _resolve_topology_arg(args)
+    node = build_topology(args.topology)
     with obs.session() as (recorder, metrics):
         table = DistributedHashTable.for_workload(
             node, keys, 0.95, group_size=4,
@@ -237,6 +218,38 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _load_factor(text: str) -> float:
+    """argparse type for a table load factor in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _topology_spec(text: str) -> str:
+    """argparse type for ``--topology``: reject a bad spec at parse time.
+
+    Returns the string, not the topology, so each run resolves it again
+    and starts on fresh simulated devices.
+    """
+    from repro.errors import ConfigurationError
+    from repro.multigpu import topology as build_topology
+
+    try:
+        build_topology(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--topology", type=_topology_spec, default="p100:4", metavar="SPEC",
+        help='topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" '
+        "(default p100:4; see repro.options)",
+    )
 
 
 def _parse_budget(text: str) -> float:
@@ -317,14 +330,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if address is None and args.port is not None:
         address = (args.host, args.port)
     server = KVServer.create(
-        num_gpus=args.m,
+        topology=args.topology,
         capacity=args.capacity,
         address=address,
         batch_window=args.batch_window,
     ).start()
     addr = server.address
     shown = addr if isinstance(addr, str) else f"{addr[0]}:{addr[1]}"
-    print(f"serving {args.m}-GPU table (capacity {args.capacity}) on {shown}")
+    print(
+        f"serving {args.topology} table (capacity {args.capacity}) on {shown}"
+    )
     print("stop with Ctrl-C or a client-side shutdown")
     try:
         server.wait()
@@ -407,19 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--workers", type=int, default=None, help="pool size for thread/process"
     )
-    demo.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
-    )
+    _add_topology_arg(demo)
     demo.set_defaults(fn=_cmd_demo)
 
     rates = sub.add_parser("rates", help="modelled single-GPU rate table")
     rates.add_argument("--n", type=_positive_int, default=1 << 14)
     rates.add_argument(
-        "--loads", type=float, nargs="+", default=[0.5, 0.8, 0.95]
+        "--loads", type=_load_factor, nargs="+", default=[0.5, 0.8, 0.95]
     )
     rates.add_argument(
-        "--groups", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32]
+        "--groups", type=int, nargs="+", choices=VALID_GROUP_SIZES,
+        default=list(VALID_GROUP_SIZES),
     )
     rates.add_argument(
         "--distribution", choices=("unique", "uniform", "zipf"), default="unique"
@@ -443,14 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--n", type=_positive_int, default=1 << 18, help="keys per bench"
     )
-    bench.add_argument(
-        "--m", type=int, default=None,
-        help="GPUs in the cascade (default 4; exclusive with --topology)",
-    )
-    bench.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
-    )
+    _add_topology_arg(bench)
     bench.add_argument(
         "--smoke", action="store_true", help="tiny n for a quick sanity run"
     )
@@ -463,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a distributed table over a unix/TCP socket",
     )
-    serve.add_argument("--m", type=int, default=4, help="GPUs behind the server")
+    _add_topology_arg(serve)
     serve.add_argument(
         "--capacity", type=int, default=1 << 16, help="total table capacity"
     )
@@ -510,14 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--n", type=_positive_int, default=1 << 16, help="pairs to stream"
     )
-    trace.add_argument(
-        "--m", type=int, default=None,
-        help="GPUs in the cascade (default 4; exclusive with --topology)",
-    )
-    trace.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
-    )
+    _add_topology_arg(trace)
     trace.add_argument(
         "--engine",
         choices=("serial", "thread", "process"),

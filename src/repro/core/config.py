@@ -8,7 +8,12 @@ from dataclasses import dataclass, field, replace
 from ..constants import DEFAULT_P_MAX
 from ..errors import ConfigurationError
 from ..hashing.families import DoubleHashFamily, make_double_family
-from ..utils.validation import check_group_size, check_load_factor, check_positive
+from ..utils.validation import (
+    check_group_size,
+    check_integral,
+    check_load_factor,
+    check_positive,
+)
 from .growth import GrowthPolicy
 from .probing import WINDOW_SEQUENCES
 from .store import STORE_LAYOUTS, slot_record_bytes
@@ -62,6 +67,7 @@ class HashTableConfig:
     growth: GrowthPolicy | None = None
 
     def __post_init__(self):
+        check_integral("capacity", self.capacity)
         check_positive("capacity", self.capacity)
         check_group_size(self.group_size)
         check_positive("p_max", self.p_max)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..constants import MAX_VALUE
 from ..errors import ConfigurationError
-from ..options import UNSET, reject_unknown, resolve_renamed
+from ..options import UNSET
 from ..simt.device import Device
 from ..utils.validation import check_keys
 from .report import KernelReport
@@ -32,8 +32,7 @@ class CountingHashTable:
     Parameters mirror :class:`WarpDriveHashTable` — including the
     unified option vocabulary (``engine=``, ``probing=``, ``layout=``,
     ``growth=``; :mod:`repro.options`), all forwarded to the backing
-    table, with ``executor=`` resolving through the warn-once shim.
-    The stored value is the saturating occurrence count.
+    table.  The stored value is the saturating occurrence count.
     """
 
     def __init__(
@@ -43,17 +42,11 @@ class CountingHashTable:
         group_size: int = 4,
         p_max: int | None = None,
         device: Device | None = None,
-        engine: object = UNSET,
+        engine: object = None,
         probing: str = UNSET,
         layout: str = UNSET,
         growth=UNSET,
-        **legacy,
     ):
-        engine = resolve_renamed(
-            "CountingHashTable", legacy,
-            old="executor", new="engine", value=engine, default=None,
-        )
-        reject_unknown("CountingHashTable", legacy)
         kwargs = {"group_size": group_size, "engine": engine}
         if p_max is not None:
             kwargs["p_max"] = p_max
@@ -89,8 +82,7 @@ class CountingHashTable:
         keys: np.ndarray,
         amounts: np.ndarray | int = 1,
         *,
-        kernels: str = UNSET,
-        **legacy,
+        kernels: str = "fast",
     ) -> KernelReport:
         """Count occurrences: ``table[key] += amount`` per observation.
 
@@ -100,11 +92,6 @@ class CountingHashTable:
         the multi-value table's O(M²/|g|) walk.  ``kernels=`` picks the
         backing table's kernel implementation (``"fast"``/``"ref"``).
         """
-        kernels = resolve_renamed(
-            "CountingHashTable", legacy,
-            old="executor", new="kernels", value=kernels, default="fast",
-        )
-        reject_unknown("CountingHashTable.add", legacy)
         k = check_keys(keys)
         if np.isscalar(amounts):
             weights = np.full(k.shape[0], int(amounts), dtype=np.int64)
@@ -128,14 +115,9 @@ class CountingHashTable:
         return report
 
     def count(
-        self, keys: np.ndarray, *, kernels: str = UNSET, **legacy
+        self, keys: np.ndarray, *, kernels: str = "fast"
     ) -> np.ndarray:
         """Occurrence count per key (0 for unseen keys)."""
-        kernels = resolve_renamed(
-            "CountingHashTable", legacy,
-            old="executor", new="kernels", value=kernels, default="fast",
-        )
-        reject_unknown("CountingHashTable.count", legacy)
         values, found = self.table.query(
             check_keys(keys), default=0, kernels=kernels
         )

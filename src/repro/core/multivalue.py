@@ -21,9 +21,14 @@ from ..constants import DEFAULT_P_MAX
 from ..errors import ConfigurationError, InsertionError
 from ..hashing.families import DoubleHashFamily, make_double_family
 from ..memory.layout import pack_pairs
-from ..options import UNSET, reject_unknown, resolve_renamed
 from ..simt.counters import TransactionCounter
-from ..utils.validation import check_group_size, check_keys, check_same_length, check_values
+from ..utils.validation import (
+    check_group_size,
+    check_integral,
+    check_keys,
+    check_same_length,
+    check_values,
+)
 from .bulk import _sectors_per_window, _window_rows, default_wave_size
 from .probing import make_window_sequence
 from .report import KernelReport
@@ -41,8 +46,6 @@ class MultiValueHashTable:
     single-value table), ``probing=`` and ``layout=`` (the probing and
     storage policies of :mod:`repro.core.probing` /
     :mod:`repro.core.store`), and ``kernels=`` on the bulk methods.
-    The deprecated ``executor=`` spelling still resolves through the
-    warn-once shim.
     """
 
     def __init__(
@@ -54,15 +57,10 @@ class MultiValueHashTable:
         family: DoubleHashFamily | None = None,
         probing: str = "window",
         layout: str = "aos",
-        engine: object = UNSET,
+        engine: object = None,
         shared: bool = False,
-        **legacy,
     ):
-        engine = resolve_renamed(
-            "MultiValueHashTable", legacy,
-            old="executor", new="engine", value=engine, default=None,
-        )
-        reject_unknown("MultiValueHashTable", legacy)
+        capacity = check_integral("capacity", capacity)
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be > 0, got {capacity}")
         check_group_size(group_size)
@@ -92,13 +90,8 @@ class MultiValueHashTable:
         self.store.free()
 
     @staticmethod
-    def _resolve_kernels(method: str, kernels, legacy) -> None:
-        """Bulk-method ``kernels=`` resolution: only ``"fast"`` exists here."""
-        kernels = resolve_renamed(
-            "MultiValueHashTable", legacy,
-            old="executor", new="kernels", value=kernels, default="fast",
-        )
-        reject_unknown(f"MultiValueHashTable.{method}", legacy)
+    def _check_kernels(method: str, kernels) -> None:
+        """Bulk-method ``kernels=`` check: only ``"fast"`` exists here."""
         if kernels != "fast":
             raise ConfigurationError(
                 f"MultiValueHashTable.{method} supports kernels='fast' only "
@@ -123,11 +116,10 @@ class MultiValueHashTable:
     # -- insert ---------------------------------------------------------------
 
     def insert(
-        self, keys: np.ndarray, values: np.ndarray, *, kernels: str = UNSET,
-        **legacy,
+        self, keys: np.ndarray, values: np.ndarray, *, kernels: str = "fast",
     ) -> KernelReport:
         """Append (key, value) pairs; every pair claims its own slot."""
-        self._resolve_kernels("insert", kernels, legacy)
+        self._check_kernels("insert", kernels)
         k = check_keys(keys)
         v = check_values(values)
         check_same_length("keys", k, "values", v)
@@ -204,7 +196,7 @@ class MultiValueHashTable:
     # -- retrieval --------------------------------------------------------------
 
     def count(
-        self, keys: np.ndarray, *, kernels: str = UNSET, **legacy
+        self, keys: np.ndarray, *, kernels: str = "fast"
     ) -> np.ndarray:
         """Number of values stored under each key (vectorized).
 
@@ -213,7 +205,7 @@ class MultiValueHashTable:
         deduplicated by slot index before counting — the GPU kernel's
         equivalent is a revisit check against the probe history.
         """
-        self._resolve_kernels("count", kernels, legacy)
+        self._check_kernels("count", kernels)
         k = check_keys(keys)
         n = k.shape[0]
         win_idx = np.zeros(n, dtype=np.int64)

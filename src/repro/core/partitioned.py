@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..exec.engine import ExecutionEngine, ShardKernelTask, create_engine
 from ..hashing.partition import PartitionHash, hashed_partition
-from ..options import UNSET, reject_unknown, resolve_renamed
+from ..options import UNSET
 from ..perfmodel import calibration as cal
 from ..simt.device import Device
 from ..utils.validation import check_keys, check_same_length, check_values
@@ -49,9 +49,8 @@ class PartitionedWarpDriveTable:
         independently as its own load trips the threshold.
     engine, workers:
         Shard-execution backend; sub-tables are disjoint so their bulk
-        kernels run concurrently under ``"thread"``/``"process"``.  The
-        old ``executor=`` spelling still works with a deprecation
-        warning (:mod:`repro.options`).
+        kernels run concurrently under ``"thread"``/``"process"``
+        (:mod:`repro.options`).
     kernels:
         Kernel backend for the sub-table bulk ops: ``"fast"`` (default)
         or ``"compiled"`` (JIT inner loops, bit-identical, auto-falling
@@ -68,19 +67,13 @@ class PartitionedWarpDriveTable:
         p_max: int | None = None,
         device: Device | None = None,
         partition: PartitionHash | None = None,
-        engine: str | ExecutionEngine = UNSET,
+        engine: str | ExecutionEngine = "serial",
         workers: int | None = None,
         probing: str = UNSET,
         layout: str = UNSET,
         growth=UNSET,
-        kernels: str = UNSET,
-        **legacy,
+        kernels: str = "fast",
     ):
-        engine = resolve_renamed(
-            "PartitionedWarpDriveTable", legacy,
-            old="executor", new="engine", value=engine, default="serial",
-        )
-        reject_unknown("PartitionedWarpDriveTable", legacy)
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be > 0, got {capacity}")
         limit = (
@@ -99,8 +92,6 @@ class PartitionedWarpDriveTable:
                 f"{self.num_partitions} sub-tables required"
             )
         self.partition = partition
-        if kernels is UNSET:
-            kernels = "fast"
         if kernels not in ("fast", "compiled"):
             raise ConfigurationError(
                 f"kernels must be 'fast' or 'compiled', got {kernels!r}"

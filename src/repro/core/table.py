@@ -5,9 +5,8 @@ contribution: an open-addressing hash map probed by coalesced groups of
 ``|g|`` threads with the hybrid linear-window/chaotic-hop scheme of
 Fig. 3.  Bulk operations run the vectorized kernels by default; the
 ``kernels="ref"`` path runs the faithful generator kernels under a
-chosen interleaving scheduler (slow; for verification).  The old
-``executor=`` spelling still works with a deprecation warning (see
-:mod:`repro.options` for the unified option set).
+chosen interleaving scheduler (slow; for verification); see
+:mod:`repro.options` for the unified option set.
 
 Example
 -------
@@ -31,7 +30,7 @@ from ..constants import EMPTY_SLOT
 from ..errors import ConfigurationError, InsertionError
 from ..memory.layout import unpack_pairs
 from ..obs import runtime as obs
-from ..options import UNSET, reject_unknown, resolve_renamed
+from ..options import UNSET
 from ..simt.counters import TransactionCounter
 from ..simt.device import Device
 from ..simt.kernel import launch
@@ -116,7 +115,7 @@ class WarpDriveHashTable:
         probing: str = UNSET,
         layout: str = UNSET,
         growth: GrowthPolicy | None = UNSET,
-        kernels: str = UNSET,
+        kernels: str = "fast",
     ):
         if engine is not None:
             shared = shared or engine == "process" or bool(
@@ -144,8 +143,6 @@ class WarpDriveHashTable:
                 )
             if overrides:
                 config = _dc_replace(config, **overrides)
-        if kernels is UNSET:
-            kernels = "fast"
         if kernels not in ("fast", "ref", "compiled"):
             raise ConfigurationError(
                 f"kernels must be 'fast', 'ref' or 'compiled', got {kernels!r}"
@@ -240,7 +237,6 @@ class WarpDriveHashTable:
         kernels: str = UNSET,
         scheduler: Scheduler | None = None,
         wave_size: int | None = None,
-        **legacy,
     ) -> KernelReport:
         """Insert (or update) key-value pairs.
 
@@ -252,12 +248,8 @@ class WarpDriveHashTable:
         rebuild attempts run out); otherwise transparently rebuilds with a
         translated hash family, as §II prescribes.
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.insert", legacy)
+        if kernels is UNSET:
+            kernels = self.default_kernels
         k = check_keys(keys)
         v = check_values(values)
         check_same_length("keys", k, "values", v)
@@ -392,18 +384,13 @@ class WarpDriveHashTable:
         default: int = 0,
         kernels: str = UNSET,
         scheduler: Scheduler | None = None,
-        **legacy,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Retrieve values; returns (values, found-mask).
 
         Keys not present yield ``default`` with ``found == False``.
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.query", legacy)
+        if kernels is UNSET:
+            kernels = self.default_kernels
         k = check_keys(keys)
         kernels = resolve_kernels(
             kernels, slots=self.slots, owner="WarpDriveHashTable.query"
@@ -470,7 +457,6 @@ class WarpDriveHashTable:
         *,
         kernels: str = UNSET,
         scheduler: Scheduler | None = None,
-        **legacy,
     ) -> np.ndarray:
         """Delete keys (tombstones); returns an erased-mask.
 
@@ -479,12 +465,8 @@ class WarpDriveHashTable:
         deletions.  Nevertheless, insertions and deletions can be safely
         interleaved using global barriers."
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.erase", legacy)
+        if kernels is UNSET:
+            kernels = self.default_kernels
         k = check_keys(keys)
         kernels = resolve_kernels(
             kernels, slots=self.slots, owner="WarpDriveHashTable.erase"

@@ -5,7 +5,7 @@ processes pull ``(id, func, arg)`` tuples from a task queue and push
 ``(id, ok, payload)`` back.  Design points the backends rely on:
 
 * **lazy start** — processes spawn on first :meth:`map`, so building a
-  table with ``executor="process"`` costs nothing until it runs;
+  table with ``engine="process"`` costs nothing until it runs;
 * **exception propagation** — a worker catches everything, ships the
   formatted traceback home, and :class:`WorkerError` re-raises it in the
   parent with the remote traceback attached;

@@ -31,13 +31,18 @@ from ..exec.engine import ExecutionEngine, ShardKernelTask, create_engine
 from ..exec.metrics import ShardSpan
 from ..obs import runtime as obs
 from ..obs.protocol import reportable_dict
-from ..options import UNSET, reject_unknown, resolve_renamed, warn_positional
+from ..options import UNSET
 from ..hashing.partition import PartitionHash, hashed_partition
 from ..memory.buffer import DeviceBuffer
 from ..memory.layout import pack_pairs, unpack_pairs
 from ..memory.transfer import MemcpyKind, TransferLog, TransferRecord
 from ..simt.counters import TransactionCounter
-from ..utils.validation import check_keys, check_same_length, check_values
+from ..utils.validation import (
+    check_integral,
+    check_keys,
+    check_same_length,
+    check_values,
+)
 from .alltoall import (
     AllToAllResult,
     reverse_exchange,
@@ -223,49 +228,11 @@ class StagedCascade:
         return sum(buf.nbytes for buf in self.buffers)
 
 
-def _resolve_topology_capacity(owner, arg0, arg1, topology_kw):
-    """Resolve the ``(capacity, topology=)`` vs ``(topology, capacity)`` forms.
-
-    The canonical constructor takes the capacity positionally and the
-    topology as the unified ``topology=`` option; the pre-hierarchy
-    positional form ``(topology, capacity)`` is shimmed with a one-time
-    deprecation warning.  Mixing the two for the same slot raises
-    :class:`ConfigurationError` (mirroring ``engine=``/``executor=``).
-    """
-    topo_spec = UNSET
-    capacity = UNSET
-    if arg0 is not None:
-        if isinstance(arg0, (int, np.integer)):
-            capacity = int(arg0)
-            if arg1 is not None:
-                raise ConfigurationError(
-                    f"{owner}: unexpected second positional argument "
-                    f"{arg1!r}; the capacity was already given"
-                )
-        else:
-            warn_positional(owner, "topology", "topology")
-            topo_spec = arg0
-            if arg1 is not None:
-                capacity = int(arg1)
-    if topology_kw is not UNSET:
-        if topo_spec is not UNSET:
-            raise ConfigurationError(
-                f"{owner}: got both a positional topology and 'topology='"
-            )
-        topo_spec = topology_kw
-    if capacity is UNSET:
-        raise ConfigurationError(f"{owner}: total_capacity is required")
-    topo = build_topology(None if topo_spec is UNSET else topo_spec)
-    return topo, capacity
-
-
 class DistributedHashTable:
     """A WarpDrive hash map sharded over the GPUs of a node or cluster.
 
-    The canonical form is ``DistributedHashTable(total_capacity,
-    topology=...)`` — the old positional-topology form
-    ``DistributedHashTable(node, capacity)`` keeps working through a
-    warn-once shim (see :mod:`repro.options`).
+    Built as ``DistributedHashTable(total_capacity, topology=...)``
+    (see :mod:`repro.options`).
 
     Parameters
     ----------
@@ -299,8 +266,6 @@ class DistributedHashTable:
         or a ready-made :class:`~repro.exec.ExecutionEngine`) and its
         worker count.  The process backend allocates every shard's slot
         array in shared memory so workers mutate the tables zero-copy.
-        (``executor=`` is the deprecated spelling; see
-        :mod:`repro.options`.)
     distribution:
         Host implementation of the distribution phases.  ``"fused"``
         (default) runs the single-pass multisplit and index-routed
@@ -319,34 +284,22 @@ class DistributedHashTable:
 
     def __init__(
         self,
-        total_capacity=None,
-        _legacy_capacity=None,
+        total_capacity: int,
         *,
-        topology=UNSET,
+        topology=None,
         group_size: int = 4,
         p_max: int | None = None,
         partition: PartitionHash | None = None,
-        engine: str | ExecutionEngine = UNSET,
+        engine: str | ExecutionEngine = "serial",
         workers: int | None = None,
         distribution: str = "fused",
-        kernels: str = UNSET,
+        kernels: str = "fast",
         probing: str = UNSET,
         layout: str = UNSET,
         growth=UNSET,
-        **legacy,
     ):
-        topology, total_capacity = _resolve_topology_capacity(
-            "DistributedHashTable", total_capacity, _legacy_capacity, topology
-        )
-        engine = resolve_renamed(
-            "DistributedHashTable",
-            legacy,
-            old="executor",
-            new="engine",
-            value=engine,
-            default="serial",
-        )
-        reject_unknown("DistributedHashTable", legacy)
+        total_capacity = check_integral("total_capacity", total_capacity)
+        topology = build_topology(topology)
         if total_capacity < topology.num_devices:
             raise ConfigurationError(
                 "total_capacity must be at least one slot per GPU"
@@ -356,8 +309,6 @@ class DistributedHashTable:
                 f"distribution must be 'fused' or 'reference', got {distribution!r}"
             )
         self.distribution = distribution
-        if kernels is UNSET:
-            kernels = "fast"
         if kernels not in ("fast", "compiled"):
             raise ConfigurationError(
                 f"kernels must be 'fast' or 'compiled', got {kernels!r}"

@@ -1,13 +1,6 @@
 """Unified construction options across the public surface.
 
-Before this module, the same concepts went by different names in
-different layers: the shard-execution backend was ``executor=`` on
-:class:`~repro.multigpu.distributed_table.DistributedHashTable` but the
-*kernel implementation* was also ``executor=`` on
-:meth:`~repro.core.table.WarpDriveHashTable.insert`, and measured
-wall-clock collection was ``wall_clock=`` on
-:class:`~repro.pipeline.driver.AsyncCascadeDriver`.  The canonical
-option set is now:
+Each option has exactly one spelling:
 
 ``engine=``
     Shard-execution backend: ``"serial"`` | ``"thread"`` | ``"process"``
@@ -68,37 +61,16 @@ option set is now:
     :class:`~repro.multigpu.topology.TopologySpec`, or a spec string
     (``"p100"``, ``"pcie:8"``, ``"dgx1v"``, ``"cluster:2x4"`` — see
     ``docs/topology.md``).  Accepted by ``DistributedHashTable``,
-    ``AsyncCascadeDriver``, the bench suites, and the CLI's
-    ``--topology``; resolved by the
+    ``AsyncCascadeDriver``, ``KVServer.create``, the bench suites, and
+    the CLI's ``--topology``; resolved by the
     :func:`~repro.multigpu.topology.topology` factory.
-
-Deprecated keywords keep working through warn-once shims:
-
-================================  =============================
-old                               new
-================================  =============================
-``executor=`` (constructors)      ``engine=``
-``executor=`` (bulk methods)      ``kernels=``
-``wall_clock=``                   ``measure=``
-positional topology (tables)      ``topology=``
-================================  =============================
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
-from .errors import ConfigurationError
-
-__all__ = [
-    "UNSET",
-    "resolve_renamed",
-    "reject_unknown",
-    "warn_deprecated",
-    "warn_positional",
-    "reset_deprecation_warnings",
-]
+__all__ = ["UNSET"]
 
 
 class _Unset:
@@ -109,73 +81,3 @@ class _Unset:
 
 
 UNSET: Any = _Unset()
-
-#: (owner, old-keyword) pairs already warned about this process
-_WARNED: set[tuple[str, str]] = set()
-
-
-def warn_deprecated(owner: str, old: str, new: str) -> None:
-    """Emit one DeprecationWarning per (owner, keyword) per process."""
-    key = (owner, old)
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(
-        f"{owner}: keyword '{old}=' is deprecated; use '{new}=' "
-        f"(see repro.options)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def warn_positional(owner: str, what: str, new: str) -> None:
-    """Like :func:`warn_deprecated` for a deprecated *positional* form."""
-    key = (owner, what)
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(
-        f"{owner}: passing the {what} positionally is deprecated; "
-        f"use '{new}=' (see repro.options)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecations fired (test isolation helper)."""
-    _WARNED.clear()
-
-
-def resolve_renamed(
-    owner: str,
-    legacy: dict[str, Any],
-    *,
-    old: str,
-    new: str,
-    value: Any,
-    default: Any,
-) -> Any:
-    """Resolve a renamed keyword: canonical value, shimmed old value, or default.
-
-    ``value`` is the canonical keyword's argument (``UNSET`` when the
-    caller did not pass it); ``legacy`` is the ``**kwargs`` catch-all
-    that may hold the deprecated spelling.  Passing both is an error —
-    silently preferring one would mask a caller bug.
-    """
-    if old in legacy:
-        warn_deprecated(owner, old, new)
-        shimmed = legacy.pop(old)
-        if value is not UNSET:
-            raise ConfigurationError(
-                f"{owner}: got both '{new}=' and deprecated '{old}='"
-            )
-        return shimmed
-    return default if value is UNSET else value
-
-
-def reject_unknown(owner: str, legacy: dict[str, Any]) -> None:
-    """Fail on leftover keywords exactly like a normal signature would."""
-    if legacy:
-        unexpected = ", ".join(sorted(legacy))
-        raise TypeError(f"{owner}: unexpected keyword argument(s): {unexpected}")

@@ -32,7 +32,7 @@ from ..exec.metrics import MeasuredTimeline, ShardSpan
 from ..multigpu.distributed_table import CascadeReport, DistributedHashTable
 from ..obs import runtime as obs
 from ..obs.protocol import reportable_dict
-from ..options import UNSET, reject_unknown, resolve_renamed
+from ..options import UNSET
 from ..perfmodel.cascade import time_cascade
 from ..perfmodel.memmodel import throughput
 from .schedule import schedule_batches
@@ -226,8 +226,7 @@ class AsyncCascadeDriver:
         When True, also *measure* each batch cascade with a monotonic
         clock and attach a :class:`~repro.exec.MeasuredTimeline` to the
         result — real seconds from the execution engine next to the
-        modelled makespan (``docs/execution.md``).  (``wall_clock=`` is
-        the deprecated spelling; see :mod:`repro.options`.)
+        modelled makespan (``docs/execution.md``).
     depth:
         In-flight batch depth.  ``1`` (default) runs each cascade to
         completion before the next one starts; ``depth >= 2`` turns the
@@ -261,11 +260,10 @@ class AsyncCascadeDriver:
         total_capacity: int | None = None,
         num_threads: int = 4,
         scale: float = 1.0,
-        measure: bool = UNSET,
+        measure: bool = False,
         depth: int = 1,
         staging_budget: int | None = None,
         pace: str = "none",
-        **legacy,
     ):
         if table is None:
             if total_capacity is None:
@@ -289,15 +287,6 @@ class AsyncCascadeDriver:
                     "AsyncCascadeDriver: got both a table and 'total_capacity='"
                 )
             self._owns_table = False
-        measure = resolve_renamed(
-            "AsyncCascadeDriver",
-            legacy,
-            old="wall_clock",
-            new="measure",
-            value=measure,
-            default=False,
-        )
-        reject_unknown("AsyncCascadeDriver", legacy)
         if num_threads < 1:
             raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
         if scale <= 0:
@@ -331,11 +320,6 @@ class AsyncCascadeDriver:
         if self._owns_table:
             self.table.free()
             self._owns_table = False
-
-    @property
-    def wall_clock(self) -> bool:
-        """Deprecated alias for :attr:`measure`."""
-        return self.measure
 
     def _resolve_budget(self) -> int:
         """The staging byte ceiling for one stream (half free VRAM)."""
@@ -409,7 +393,7 @@ class AsyncCascadeDriver:
             return self._pipelined_stream("insert", batches)
         stage_lists = []
         total = 0
-        measured = MeasuredTimeline() if self.wall_clock else None
+        measured = MeasuredTimeline() if self.measure else None
         pacer = _Pacer(self.pace == "modelled")
         epoch = time.perf_counter()
         for i, (keys, values) in enumerate(batches):
@@ -447,7 +431,7 @@ class AsyncCascadeDriver:
         all_values: list[np.ndarray] = []
         all_found: list[np.ndarray] = []
         total = 0
-        measured = MeasuredTimeline() if self.wall_clock else None
+        measured = MeasuredTimeline() if self.measure else None
         pacer = _Pacer(self.pace == "modelled")
         epoch = time.perf_counter()
         for i, keys in enumerate(batches):
@@ -490,7 +474,7 @@ class AsyncCascadeDriver:
         budget = StagingBudget(self._resolve_budget())
         arena = StagingArena(self.depth, budget)
         pacer = _Pacer(self.pace == "modelled")
-        measured = MeasuredTimeline() if self.wall_clock else None
+        measured = MeasuredTimeline() if self.measure else None
         stage_lists: list = []
         all_values: list[np.ndarray] = []
         all_found: list[np.ndarray] = []

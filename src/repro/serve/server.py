@@ -48,7 +48,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError
 from ..multigpu.distributed_table import DistributedHashTable
-from ..multigpu.topology import p100_nvlink_node
 from ..obs import runtime as obs
 from ..pipeline.staging import StagingBudget
 from .protocol import (
@@ -224,7 +223,7 @@ class KVServer:
     def create(
         cls,
         *,
-        num_gpus: int = 4,
+        topology="p100:4",
         capacity: int = 1 << 16,
         engine="serial",
         kernels: str = "fast",
@@ -233,7 +232,7 @@ class KVServer:
         """Build a server plus its own table (the CLI entry point)."""
         table = DistributedHashTable(
             capacity,
-            topology=p100_nvlink_node(num_gpus),
+            topology=topology,
             engine=engine,
             kernels=kernels,
         )

@@ -6,6 +6,7 @@ constructors readable.  All raise :class:`repro.errors.ConfigurationError`.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from typing import Any
 
@@ -16,6 +17,7 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "check_group_size",
+    "check_integral",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -35,6 +37,15 @@ def check_group_size(g: int) -> int:
             f"group size must be one of {VALID_GROUP_SIZES}, got {g!r}"
         )
     return int(g)
+
+
+def check_integral(name: str, value: object) -> int:
+    """Reject non-integer counts (``128.5``, ``None``, a topology, ...)."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        )
+    return int(value)
 
 
 def check_positive(name: str, value: float | int) -> float | int:

@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture(scope="module")
 def records():
-    return run_distribution_suite(n=512, m=4, seed=3, repeats=1)
+    return run_distribution_suite(n=512, topology="p100:4", seed=3, repeats=1)
 
 
 class TestSuite:

@@ -201,4 +201,4 @@ class TestReportedBackend:
 
     def test_constructor_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError):
-            DistributedHashTable(p100_nvlink_node(2), 256, kernels="ref")
+            DistributedHashTable(256, topology=p100_nvlink_node(2), kernels="ref")

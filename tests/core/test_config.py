@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.constants import DEFAULT_P_MAX
@@ -19,6 +20,16 @@ class TestConstruction:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
             HashTableConfig(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [128.5, 128.0, "128", None])
+    def test_non_integer_capacity_rejected(self, capacity):
+        """A float capacity would allocate ``int(c)`` slots but keep ``c``
+        in the config, skewing every load factor."""
+        with pytest.raises(ConfigurationError, match="integer"):
+            HashTableConfig(capacity=capacity)
+
+    def test_numpy_integer_capacity_accepted(self):
+        assert HashTableConfig(capacity=np.int64(128)).capacity == 128
 
     def test_invalid_group(self):
         with pytest.raises(ConfigurationError):

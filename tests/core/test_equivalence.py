@@ -22,9 +22,9 @@ def test_fast_matches_ref_contents(g):
     keys = unique_keys(120, seed=31)
     values = random_values(120, seed=32)
     fast = WarpDriveHashTable(160, group_size=g)
-    fast.insert(keys, values, executor="fast")
+    fast.insert(keys, values, kernels="fast")
     ref = WarpDriveHashTable(160, group_size=g)
-    ref.insert(keys, values, executor="ref")
+    ref.insert(keys, values, kernels="ref")
     fk, fv = sorted_pairs(fast)
     rk, rv = sorted_pairs(ref)
     assert (fk == rk).all() and (fv == rv).all()
@@ -39,7 +39,7 @@ def test_fast_matches_ref_under_interleaving(g):
     fast = WarpDriveHashTable(128, group_size=g)
     fast.insert(keys, values)
     ref = WarpDriveHashTable(128, group_size=g)
-    ref.insert(keys, values, executor="ref", scheduler=RandomScheduler(seed=5))
+    ref.insert(keys, values, kernels="ref", scheduler=RandomScheduler(seed=5))
     fk, fv = sorted_pairs(fast)
     rk, rv = sorted_pairs(ref)
     assert (fk == rk).all() and (fv == rv).all()
@@ -51,8 +51,8 @@ def test_query_results_match():
     t = WarpDriveHashTable(150, group_size=4)
     t.insert(keys, values)
     probe = np.concatenate([keys[:50], np.array([0xFFFF0000], dtype=np.uint32)])
-    vf, ff = t.query(probe, executor="fast")
-    vr, fr = t.query(probe, executor="ref")
+    vf, ff = t.query(probe, kernels="fast")
+    vr, fr = t.query(probe, kernels="ref")
     assert (vf == vr).all() and (ff == fr).all()
 
 
@@ -62,8 +62,8 @@ def test_erase_results_match():
     t1.insert(keys, keys)
     t2 = WarpDriveHashTable(100, group_size=4)
     t2.insert(keys, keys)
-    e1 = t1.erase(keys[:20], executor="fast")
-    e2 = t2.erase(keys[:20], executor="ref")
+    e1 = t1.erase(keys[:20], kernels="fast")
+    e2 = t2.erase(keys[:20], kernels="ref")
     assert (e1 == e2).all()
     k1, v1 = sorted_pairs(t1)
     k2, v2 = sorted_pairs(t2)
@@ -78,7 +78,7 @@ def test_duplicate_sequential_semantics_match():
     fast = WarpDriveHashTable(32, group_size=4)
     fast.insert(keys, values)
     ref = WarpDriveHashTable(32, group_size=4)
-    ref.insert(keys, values, executor="ref", scheduler=SequentialScheduler())
+    ref.insert(keys, values, kernels="ref", scheduler=SequentialScheduler())
     fk, fv = sorted_pairs(fast)
     rk, rv = sorted_pairs(ref)
     assert (fk == rk).all() and (fv == rv).all()
@@ -97,7 +97,7 @@ def test_equivalence_property(n, seed, g):
     fast = WarpDriveHashTable(2 * n + 4, group_size=g)
     fast.insert(keys, values)
     ref = WarpDriveHashTable(2 * n + 4, group_size=g)
-    ref.insert(keys, values, executor="ref")
+    ref.insert(keys, values, kernels="ref")
     fk, fv = sorted_pairs(fast)
     rk, rv = sorted_pairs(ref)
     assert (fk == rk).all() and (fv == rv).all()
@@ -112,5 +112,5 @@ def test_transaction_counts_are_comparable():
     fast = WarpDriveHashTable(256, group_size=4)
     frep = fast.insert(keys, values, wave_size=8)
     ref = WarpDriveHashTable(256, group_size=4)
-    rrep = ref.insert(keys, values, executor="ref")
+    rrep = ref.insert(keys, values, kernels="ref")
     assert frep.mean_windows == pytest.approx(rrep.mean_windows, rel=0.25)

@@ -45,6 +45,10 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             MultiValueHashTable(0)
 
+    def test_float_capacity_rejected(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            MultiValueHashTable(128.5)
+
     def test_load_factor(self):
         t = MultiValueHashTable(100)
         t.insert(np.full(50, 1, dtype=np.uint32), np.arange(50, dtype=np.uint32))

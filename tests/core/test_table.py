@@ -30,6 +30,11 @@ class TestConstruction:
     def test_table_bytes(self):
         assert WarpDriveHashTable(1000).table_bytes == 8000
 
+    def test_float_capacity_rejected(self):
+        """128.5 would allocate 128 slots yet report load against 128.5."""
+        with pytest.raises(ConfigurationError, match="integer"):
+            WarpDriveHashTable(128.5)
+
 
 class TestBasicOperations:
     def test_insert_query_roundtrip(self, small_keys, small_values):
@@ -106,7 +111,7 @@ class TestBasicOperations:
         t = WarpDriveHashTable(32)
         with pytest.raises(ConfigurationError):
             t.insert(np.array([1], dtype=np.uint32), np.array([1], dtype=np.uint32),
-                     executor="magic")
+                     kernels="magic")
 
 
 class TestRebuild:

@@ -131,9 +131,9 @@ class TestRefExecutorParity:
         ref = tiny_table()
         keys = np.arange(1, 13, dtype=np.uint32)
         for t, ex in ((fast, "fast"), (ref, "ref")):
-            t.insert(keys, keys, executor=ex)
-            t.erase(keys[:4], executor=ex)
-            t.insert(keys[8:9], np.array([999], dtype=np.uint32), executor=ex)
+            t.insert(keys, keys, kernels=ex)
+            t.erase(keys[:4], kernels=ex)
+            t.insert(keys[8:9], np.array([999], dtype=np.uint32), kernels=ex)
             k, _ = t.export()
             assert np.unique(k).size == k.size, ex
         # identical final contents

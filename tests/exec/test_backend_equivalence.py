@@ -38,14 +38,14 @@ def _counter_totals(devices) -> tuple:
     )
 
 
-def _run_cascades(executor: str, group_size: int, n: int = 6000) -> dict:
+def _run_cascades(engine: str, group_size: int, n: int = 6000) -> dict:
     """One full insert → query → erase → reinsert run; returns a snapshot."""
     keys = unique_keys(n, seed=21)
     values = random_values(n, seed=22)
     topology = p100_nvlink_node(4)
     table = DistributedHashTable.for_workload(
         topology, keys, 0.85, group_size=group_size,
-        executor=executor, workers=2,
+        engine=engine, workers=2,
     )
     try:
         irep = table.insert(keys, values, source="device")
@@ -86,11 +86,11 @@ class TestDistributedEquivalence:
         )
 
 
-def _run_partitioned(executor: str, keys, values) -> dict:
+def _run_partitioned(engine: str, keys, values) -> dict:
     table = PartitionedWarpDriveTable(
         max(2 * keys.size, 64),
         max_partition_bytes=max(keys.size, 16) * 8 // 2,
-        executor=executor,
+        engine=engine,
         workers=2,
     )
     try:
@@ -141,11 +141,11 @@ class TestPropertyEquivalence:
         values = random_values(n, seed=seed + 1)
         topology_a, topology_b = p100_nvlink_node(4), p100_nvlink_node(4)
         a = DistributedHashTable.for_workload(
-            topology_a, keys, 0.8, group_size=group_size, executor="serial"
+            topology_a, keys, 0.8, group_size=group_size, engine="serial"
         )
         b = DistributedHashTable.for_workload(
             topology_b, keys, 0.8, group_size=group_size,
-            executor="thread", workers=2,
+            engine="thread", workers=2,
         )
         try:
             a.insert(keys, values, source="device")

@@ -32,6 +32,35 @@ class TestParser:
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--loads", "0"],
+            ["rates", "--loads", "1.5"],
+            ["rates", "--groups", "0"],
+            ["rates", "--groups", "3"],
+            ["demo", "--topology", "p100:0"],
+            ["trace", "--topology", "p100:0"],
+            ["trace", "--topology", "bogus"],
+            ["bench", "--smoke", "--topology", "p100:9"],
+            ["serve", "--topology", "cluster:0x4"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        flag = next(a for a in argv if a.startswith("--") and a != "--smoke")
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "trace", "serve"])
+    def test_m_flag_is_gone(self, command):
+        """``--topology`` is the only spelling of the GPU set."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--m", "2"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -43,6 +72,10 @@ class TestCommands:
             line for line in out.splitlines() if line.startswith("subsystems:")
         ).split()
         assert {"serve", "obs"} <= set(subsystems)
+
+    def test_rates_accepts_full_load(self, capsys):
+        assert main(["rates", "--n", "1024", "--loads", "1.0", "--groups", "4"]) == 0
+        assert "1.00" in capsys.readouterr().out
 
     def test_demo(self, capsys):
         assert main(["demo", "--n", "5000"]) == 0

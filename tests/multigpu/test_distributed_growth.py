@@ -39,7 +39,7 @@ def _chunks(n, parts, seed):
 class TestCoordinatedGrowth:
     def test_four_x_ingest_without_insertion_error(self):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         keys, values, chunks = _chunks(2048, 8, seed=31)
         for ck, cv in chunks:
@@ -50,7 +50,7 @@ class TestCoordinatedGrowth:
 
     def test_shard_capacities_stay_uniform(self):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         _, _, chunks = _chunks(2048, 8, seed=32)
         for ck, cv in chunks:
@@ -62,7 +62,7 @@ class TestCoordinatedGrowth:
 
     def test_grow_reports_and_transfer_records(self):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         _, _, chunks = _chunks(2048, 8, seed=33)
         grow_reports = []
@@ -83,7 +83,7 @@ class TestCoordinatedGrowth:
         )
 
     def test_explicit_grow(self):
-        table = DistributedHashTable(_node(), 512)
+        table = DistributedHashTable(512, topology=_node())
         keys = unique_keys(300, seed=34)
         table.insert(keys, keys)
         table.grow(2048)
@@ -93,7 +93,7 @@ class TestCoordinatedGrowth:
         assert found.all() and (got == keys).all()
 
     def test_explicit_shrink_rejected(self):
-        table = DistributedHashTable(_node(), 512)
+        table = DistributedHashTable(512, topology=_node())
         with pytest.raises(ConfigurationError):
             table.grow(256)
 
@@ -111,7 +111,7 @@ class TestGrowthObservability:
 
     def test_metrics_count_grows(self, traced):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         self._ingest(table)
         counters = obs.get_metrics().counters
@@ -121,7 +121,7 @@ class TestGrowthObservability:
 
     def test_trace_has_shard_growth_span_and_validates(self, traced):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         self._ingest(table)
         growth_spans = [
@@ -141,7 +141,7 @@ class TestGrowthObservability:
 class TestDriverGrowth:
     def test_mid_stream_growth_is_transparent(self):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         driver = AsyncCascadeDriver(table, num_threads=2, measure=True)
         keys, values, chunks = _chunks(2048, 8, seed=36)
@@ -153,7 +153,7 @@ class TestDriverGrowth:
 
     def test_measured_timeline_includes_grow_span(self):
         table = DistributedHashTable(
-            _node(), 512, growth=GrowthPolicy(max_load=0.9)
+            512, topology=_node(), growth=GrowthPolicy(max_load=0.9)
         )
         driver = AsyncCascadeDriver(table, num_threads=2, measure=True)
         _, _, chunks = _chunks(2048, 8, seed=37)

@@ -94,7 +94,7 @@ class TestInsertQuery:
 
     def test_invalid_source(self):
         node = p100_nvlink_node(2)
-        t = DistributedHashTable(node, 100)
+        t = DistributedHashTable(100, topology=node)
         with pytest.raises(ConfigurationError):
             t.insert(np.array([1], dtype=np.uint32), np.array([1], dtype=np.uint32),
                      source="quantum")
@@ -228,13 +228,22 @@ class TestDistributedErase:
 class TestConfiguration:
     def test_capacity_split_across_shards(self):
         node = p100_nvlink_node(4)
-        t = DistributedHashTable(node, 1000)
+        t = DistributedHashTable(1000, topology=node)
         assert t.total_capacity == 4 * 250
         assert all(s.capacity == 250 for s in t.shards)
 
+    @pytest.mark.parametrize("capacity", [128.5, 128.0, None])
+    def test_non_integer_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigurationError, match="integer"):
+            DistributedHashTable(capacity, topology="p100:2")
+
+    def test_topology_as_capacity_names_the_type(self):
+        with pytest.raises(ConfigurationError, match="NodeTopology"):
+            DistributedHashTable(p100_nvlink_node(2))
+
     def test_custom_partition(self):
         node = p100_nvlink_node(4)
-        t = DistributedHashTable(node, 400, partition=modulo_partition(4))
+        t = DistributedHashTable(400, topology=node, partition=modulo_partition(4))
         keys = np.arange(100, dtype=np.uint32)
         t.insert(keys, keys, source="device")
         # key k lives on GPU k mod 4
@@ -245,7 +254,7 @@ class TestConfiguration:
     def test_partition_gpu_mismatch_rejected(self):
         node = p100_nvlink_node(4)
         with pytest.raises(ConfigurationError):
-            DistributedHashTable(node, 100, partition=modulo_partition(2))
+            DistributedHashTable(100, topology=node, partition=modulo_partition(2))
 
     def test_export_collects_all_shards(self):
         node = p100_nvlink_node(3)
@@ -257,7 +266,7 @@ class TestConfiguration:
 
     def test_vram_accounting(self):
         node = p100_nvlink_node(2)
-        t = DistributedHashTable(node, 2000)
+        t = DistributedHashTable(2000, topology=node)
         assert node.devices[0].allocated_bytes == 1000 * 8
         t.free()
         assert node.devices[0].allocated_bytes == 0
@@ -313,7 +322,7 @@ class TestConfiguration:
             pcie_switch_of={0: 0, 1: 0},
             pcie_switch_bandwidth=11e9,
         )
-        t = DistributedHashTable(node, 2000)  # 8 kB of shards per GPU
+        t = DistributedHashTable(2000, topology=node)  # 8 kB of shards per GPU
         big = unique_keys(16000, seed=31)  # 64 kB of staging per GPU
         with pytest.raises(AllocationError):
             t.insert(big, big)

@@ -9,11 +9,10 @@ Three guarantees, per the scale-out design:
   reference (per-GPU fields unchanged, node counts/offsets the sums of
   the member-GPU spans);
 * the NIC charge model matches hand-computed traffic matrices, and the
-  unified ``topology=`` factory/shim vocabulary resolves and rejects
+  unified ``topology=`` factory vocabulary resolves and rejects
   specs the documented way.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from repro.multigpu.topology import (
 )
 from repro.obs import runtime as obs
 from repro.obs.export import to_perfetto, validate_trace
-from repro.options import reset_deprecation_warnings
 from repro.workloads.distributions import random_values, unique_keys
 
 WALL_KEYS = (
@@ -369,29 +367,6 @@ class TestTopologyFactory:
             assert table.num_gpus == 4
         finally:
             table.free()
-
-    def test_table_positional_topology_warns_once(self):
-        reset_deprecation_warnings()
-        node = p100_nvlink_node(2)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            table = DistributedHashTable(node, 128)
-        assert table.total_capacity >= 128 and table.num_gpus == 2
-        table.free()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use must stay silent
-            table = DistributedHashTable(p100_nvlink_node(2), 128)
-            table.free()
-        reset_deprecation_warnings()
-
-    def test_table_conflicting_topologies_rejected(self):
-        reset_deprecation_warnings()
-        node = p100_nvlink_node(2)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                DistributedHashTable(node, 128, topology="p100:4")
-        with pytest.raises(ConfigurationError):
-            DistributedHashTable(topology="p100:2")  # capacity still required
-        reset_deprecation_warnings()
 
     def test_driver_builds_and_owns_its_table(self):
         from repro.pipeline.driver import AsyncCascadeDriver

@@ -23,7 +23,7 @@ class DistributedMachine(RuleBasedStateMachine):
         super().__init__()
         node = p100_nvlink_node(3)
         # capacity far above the universe so shard imbalance cannot fail
-        self.table = DistributedHashTable(node, 1536, group_size=4)
+        self.table = DistributedHashTable(1536, topology=node, group_size=4)
         self.model: dict[int, int] = {}
 
     @rule(keys=st.lists(KEYS, min_size=1, max_size=10), value=VALUES)

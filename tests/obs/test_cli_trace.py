@@ -32,7 +32,7 @@ class TestTraceCommand:
 
     def test_smoke_obeys_m(self, tmp_path):
         out = tmp_path / "m2.trace.json"
-        assert main(["trace", "--n", "4096", "--m", "2", "--out", str(out)]) == 0
+        assert main(["trace", "--n", "4096", "--topology", "p100:2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         shards = {
             e["tid"]

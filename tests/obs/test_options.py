@@ -1,93 +1,96 @@
-"""The unified option vocabulary and its deprecation shims."""
-
-import warnings
+"""The unified option vocabulary: one spelling per option."""
 
 import numpy as np
 import pytest
 
+from repro.bench.distribution import run_distribution_suite
+from repro.core.counting import CountingHashTable
+from repro.core.multivalue import MultiValueHashTable
+from repro.core.partitioned import PartitionedWarpDriveTable
 from repro.core.table import WarpDriveHashTable
 from repro.errors import ConfigurationError
 from repro.multigpu.distributed_table import DistributedHashTable
 from repro.multigpu.topology import p100_nvlink_node
-from repro.options import (
-    UNSET,
-    reject_unknown,
-    reset_deprecation_warnings,
-    resolve_renamed,
-)
 from repro.pipeline.driver import AsyncCascadeDriver
-from repro.workloads.distributions import unique_keys
+from repro.serve import KVServer
 
+KEYS = np.arange(4, dtype=np.uint32)
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
-
-
-class TestResolveRenamed:
-    def test_canonical_passes_through(self):
-        assert resolve_renamed(
-            "X", {}, old="a", new="b", value="v", default="d"
-        ) == "v"
-
-    def test_default_when_unset(self):
-        assert resolve_renamed(
-            "X", {}, old="a", new="b", value=UNSET, default="d"
-        ) == "d"
-
-    def test_legacy_warns_and_maps(self):
-        legacy = {"a": "v"}
-        with pytest.warns(DeprecationWarning, match="'a=' is deprecated"):
-            got = resolve_renamed(
-                "X", legacy, old="a", new="b", value=UNSET, default="d"
-            )
-        assert got == "v" and legacy == {}
-
-    def test_warns_once_per_owner_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            resolve_renamed("X", {"a": 1}, old="a", new="b", value=UNSET, default=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # second use is silent — warn-once per (owner, keyword)
-            resolve_renamed("X", {"a": 2}, old="a", new="b", value=UNSET, default=0)
-        with pytest.warns(DeprecationWarning):
-            # a different owner still gets its own warning
-            resolve_renamed("Y", {"a": 3}, old="a", new="b", value=UNSET, default=0)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError, match="both"):
-            resolve_renamed(
-                "X", {"a": 1}, old="a", new="b", value=2, default=0
-            )
-
-    def test_reject_unknown(self):
-        reject_unknown("X", {})
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            reject_unknown("X", {"bogus": 1})
+#: every spelling that once resolved through a deprecation shim
+REMOVED_SPELLINGS = [
+    pytest.param(
+        lambda: WarpDriveHashTable(64).insert(KEYS, KEYS, executor="fast"),
+        id="WarpDriveHashTable.insert-executor",
+    ),
+    pytest.param(
+        lambda: WarpDriveHashTable(64).query(KEYS, executor="fast"),
+        id="WarpDriveHashTable.query-executor",
+    ),
+    pytest.param(
+        lambda: WarpDriveHashTable(64).erase(KEYS, executor="fast"),
+        id="WarpDriveHashTable.erase-executor",
+    ),
+    pytest.param(
+        lambda: CountingHashTable(64).add(KEYS, executor="fast"),
+        id="CountingHashTable.add-executor",
+    ),
+    pytest.param(
+        lambda: CountingHashTable(64).count(KEYS, executor="fast"),
+        id="CountingHashTable.count-executor",
+    ),
+    pytest.param(
+        lambda: MultiValueHashTable(64).insert(KEYS, KEYS, executor="fast"),
+        id="MultiValueHashTable.insert-executor",
+    ),
+    pytest.param(
+        lambda: MultiValueHashTable(64).count(KEYS, executor="fast"),
+        id="MultiValueHashTable.count-executor",
+    ),
+    pytest.param(
+        lambda: DistributedHashTable(128, executor="serial"),
+        id="DistributedHashTable-executor",
+    ),
+    pytest.param(
+        lambda: PartitionedWarpDriveTable(256, executor="serial"),
+        id="PartitionedWarpDriveTable-executor",
+    ),
+    pytest.param(
+        lambda: CountingHashTable(64, executor="serial"),
+        id="CountingHashTable-executor",
+    ),
+    pytest.param(
+        lambda: MultiValueHashTable(64, executor="serial"),
+        id="MultiValueHashTable-executor",
+    ),
+    pytest.param(
+        lambda: AsyncCascadeDriver(total_capacity=128, wall_clock=True),
+        id="AsyncCascadeDriver-wall_clock",
+    ),
+    pytest.param(
+        lambda: DistributedHashTable(p100_nvlink_node(2), 128),
+        id="DistributedHashTable-positional-topology",
+    ),
+    pytest.param(
+        lambda: DistributedHashTable(topology="p100:2"),
+        id="DistributedHashTable-no-capacity",
+    ),
+    pytest.param(
+        lambda: run_distribution_suite(n=64, m=4, repeats=1),
+        id="run_distribution_suite-m",
+    ),
+    pytest.param(
+        lambda: KVServer.create(num_gpus=2),
+        id="KVServer.create-num_gpus",
+    ),
+]
 
 
 class TestShims:
-    def test_table_methods_accept_executor(self):
-        t = WarpDriveHashTable(64)
-        keys = np.arange(8, dtype=np.uint32)
-        with pytest.warns(DeprecationWarning, match="WarpDriveHashTable"):
-            t.insert(keys, keys, executor="fast")
-        values, found = t.query(keys, kernels="fast")
-        assert found.all() and (values == keys).all()
-
-    def test_table_rejects_conflicting_spellings(self):
-        t = WarpDriveHashTable(64)
-        keys = np.arange(4, dtype=np.uint32)
-        with pytest.raises(ConfigurationError):
-            t.insert(keys, keys, kernels="fast", executor="fast")
-
-    def test_table_rejects_unknown_keyword(self):
-        t = WarpDriveHashTable(64)
-        keys = np.arange(4, dtype=np.uint32)
-        with pytest.raises(TypeError):
-            t.insert(keys, keys, bogus=1)
+    @pytest.mark.parametrize("call", REMOVED_SPELLINGS)
+    def test_removed_spelling_rejected(self, call):
+        """Each option has one spelling: the old aliases fail loudly."""
+        with pytest.raises((TypeError, ConfigurationError)):
+            call()
 
     def test_table_engine_option_means_shared_storage(self):
         t = WarpDriveHashTable(64, engine="process")
@@ -97,41 +100,6 @@ class TestShims:
             t.free()
         t = WarpDriveHashTable(64, engine="serial")
         assert t.shm_descriptor() is None
-
-    def test_distributed_accepts_executor(self):
-        node = p100_nvlink_node(2)
-        with pytest.warns(DeprecationWarning, match="DistributedHashTable"):
-            t = DistributedHashTable.for_load_factor(
-                node, 200, 0.8, executor="serial"
-            )
-        assert t.engine.name == "serial"
-        t.free()
-
-    def test_driver_accepts_wall_clock(self):
-        node = p100_nvlink_node(2)
-        keys = unique_keys(200, seed=41)
-        table = DistributedHashTable.for_workload(node, keys, 0.8)
-        with pytest.warns(DeprecationWarning, match="AsyncCascadeDriver"):
-            driver = AsyncCascadeDriver(table, wall_clock=True)
-        assert driver.measure is True
-        assert driver.wall_clock is True  # back-compat read alias
-        table.free()
-
-    def test_driver_rejects_conflicting_spellings(self):
-        node = p100_nvlink_node(2)
-        keys = unique_keys(200, seed=42)
-        table = DistributedHashTable.for_workload(node, keys, 0.8)
-        with pytest.raises(ConfigurationError):
-            AsyncCascadeDriver(table, measure=True, wall_clock=True)
-        table.free()
-
-    def test_partitioned_accepts_executor(self):
-        from repro.core.partitioned import PartitionedWarpDriveTable
-
-        with pytest.warns(DeprecationWarning, match="PartitionedWarpDriveTable"):
-            t = PartitionedWarpDriveTable(256, executor="serial")
-        assert t.engine.name == "serial"
-        t.free()
 
 
 class TestTopLevelExports:

@@ -83,7 +83,7 @@ class TestWallClock:
         stream = BatchStream(total=4000, batch_size=1000, seed=6)
         pool = np.concatenate([b.keys for b in stream])
         table = DistributedHashTable.for_workload(node, pool, 0.9)
-        driver = AsyncCascadeDriver(table, num_threads=2, wall_clock=True)
+        driver = AsyncCascadeDriver(table, num_threads=2, measure=True)
 
         res = driver.insert_stream((b.keys, b.values) for b in stream)
         assert res.measured is not None

@@ -58,9 +58,9 @@ def run_stream(depth: int, batches, *, growth=None, churn=False, pace="none"):
     node = p100_nvlink_node(4)
     n = sum(k.shape[0] for k, _ in batches)
     if growth is not None:
-        table = DistributedHashTable(node, n // 3, growth=growth)
+        table = DistributedHashTable(n // 3, topology=node, growth=growth)
     else:
-        table = DistributedHashTable(node, int(n / 0.8))
+        table = DistributedHashTable(int(n / 0.8), topology=node)
     driver = AsyncCascadeDriver(table, depth=depth, pace=pace, scale=20.0)
     ins = driver.insert_stream(iter(batches))
     if churn:
@@ -164,7 +164,7 @@ class TestMeasuredOverlap:
 
         def measured(depth):
             node = p100_nvlink_node(4)
-            table = DistributedHashTable(node, 1 << 21)
+            table = DistributedHashTable(1 << 21, topology=node)
             driver = AsyncCascadeDriver(
                 table, depth=depth, pace="modelled", measure=True,
                 scale=500.0,

@@ -255,7 +255,7 @@ class TestBackpressure:
         batches, keys, values = keyed_batches(1 << 13, 8)
         per_batch = (1 << 13) // 8 * 8  # packed uint64 per pair
         node = small_node(4, 64 << 20)
-        table = DistributedHashTable(node, 1 << 14)
+        table = DistributedHashTable(1 << 14, topology=node)
         driver = AsyncCascadeDriver(
             table, depth=4, staging_budget=per_batch * 2, pace="modelled",
             scale=50.0,
@@ -269,7 +269,7 @@ class TestBackpressure:
         batches, _, _ = keyed_batches(1 << 12, 8)
         per_batch = (1 << 12) // 8 * 8
         node = small_node(2, 64 << 20)
-        table = DistributedHashTable(node, 1 << 13)
+        table = DistributedHashTable(1 << 13, topology=node)
         with obs.session() as (recorder, metrics):
             driver = AsyncCascadeDriver(
                 table, depth=4, staging_budget=per_batch, pace="modelled",
@@ -307,7 +307,7 @@ class TestOutOfCore:
 
     def _vram_for(self, num_gpus: int, capacity: int, margin: int) -> int:
         probe = small_node(num_gpus, 1 << 34)
-        table = DistributedHashTable(probe, capacity)
+        table = DistributedHashTable(capacity, topology=probe)
         footprint = max(d.allocated_bytes for d in probe.devices)
         del table
         return footprint + margin
@@ -319,7 +319,7 @@ class TestOutOfCore:
         # stream's one-shot staging footprint of n*2 bytes per GPU
         margin = (n // num_batches) * 8 // num_gpus * 4
         node = small_node(num_gpus, self._vram_for(num_gpus, capacity, margin))
-        table = DistributedHashTable(node, capacity)
+        table = DistributedHashTable(capacity, topology=node)
         batches, keys, values = keyed_batches(n, num_batches)
 
         with pytest.raises(AllocationError):

@@ -35,7 +35,7 @@ from repro.workloads.distributions import random_values, unique_keys
 @pytest.fixture
 def server():
     srv = KVServer.create(
-        num_gpus=4, capacity=1 << 13, batch_window=0.001
+        topology="p100:4", capacity=1 << 13, batch_window=0.001
     ).start()
     yield srv
     srv.close()
@@ -212,7 +212,7 @@ class TestAdmissionOverflow:
         second one arrives (the client sends all frames of a batch
         before collecting replies)."""
         return KVServer.create(
-            num_gpus=2,
+            topology="p100:2",
             capacity=1 << 12,
             admission_bytes=6 << 10,
             batch_window=0.25,

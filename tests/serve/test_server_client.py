@@ -22,7 +22,7 @@ from repro.workloads.distributions import random_values, unique_keys
 @pytest.fixture
 def server():
     srv = KVServer.create(
-        num_gpus=4, capacity=1 << 13, batch_window=0.001
+        topology="p100:4", capacity=1 << 13, batch_window=0.001
     ).start()
     yield srv
     srv.close()
@@ -175,7 +175,7 @@ class TestLifecycle:
         assert server.wait(timeout=5.0)
 
     def test_context_manager_cycle(self):
-        with KVServer.create(num_gpus=2, capacity=1 << 12) as srv:
+        with KVServer.create(topology="p100:2", capacity=1 << 12) as srv:
             with KVClient(srv.address) as c:
                 keys = unique_keys(16, seed=21)
                 assert c.insert(keys, keys) == 16

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.multigpu.distributed_table import DistributedHashTable
-from repro.multigpu.topology import p100_nvlink_node
 from repro.serve import KVClient, KVServer
 from repro.workloads.distributions import random_values, unique_keys
 
@@ -31,8 +30,8 @@ def _sorted_pairs(table: DistributedHashTable):
     return keys[order], values[order]
 
 
-def _replay(oplog, *, num_gpus: int, capacity: int):
-    fresh = DistributedHashTable(p100_nvlink_node(num_gpus), capacity)
+def _replay(oplog, *, topology: str, capacity: int):
+    fresh = DistributedHashTable(capacity, topology=topology)
     try:
         for op, keys, values in oplog:
             if op == "insert":
@@ -100,13 +99,13 @@ def _soak(server, *, clients: int, batches: int, batch_size: int):
 def _assert_soak_replays(*, clients: int, batches: int, **server_kwargs):
     """Soak a 4-GPU server, then replay its op log into a fresh table."""
     server = KVServer.create(
-        num_gpus=4, capacity=1 << 14, oplog=True, **server_kwargs
+        topology="p100:4", capacity=1 << 14, oplog=True, **server_kwargs
     ).start()
     try:
         _soak(server, clients=clients, batches=batches, batch_size=512)
         live_keys, live_values = _sorted_pairs(server.table)
         replay_keys, replay_values = _replay(
-            server.oplog, num_gpus=4, capacity=1 << 14
+            server.oplog, topology="p100:4", capacity=1 << 14
         )
     finally:
         server.close()
@@ -123,7 +122,7 @@ class TestSoakSerialReplay:
         """Each log entry is one executed cascade: key counts in the
         log sum to the keys the counters saw."""
         server = KVServer.create(
-            num_gpus=2, capacity=1 << 13, oplog=True
+            topology="p100:2", capacity=1 << 13, oplog=True
         ).start()
         try:
             _soak(server, clients=2, batches=3, batch_size=256)
@@ -152,7 +151,7 @@ class TestSoakMultiProcess:
         """Real client processes over the unix socket (the multi-user
         deployment shape), then the same serial-replay identity."""
         server = KVServer.create(
-            num_gpus=4, capacity=1 << 15, oplog=True, batch_window=0.002
+            topology="p100:4", capacity=1 << 15, oplog=True, batch_window=0.002
         ).start()
         try:
             ctx = multiprocessing.get_context("spawn")
@@ -171,7 +170,7 @@ class TestSoakMultiProcess:
                 proc.exitcode for proc in procs
             ]
             live = _sorted_pairs(server.table)
-            replayed = _replay(server.oplog, num_gpus=4, capacity=1 << 15)
+            replayed = _replay(server.oplog, topology="p100:4", capacity=1 << 15)
         finally:
             server.close()
         assert np.array_equal(live[0], replayed[0])

@@ -32,7 +32,7 @@ def _keys_values():
 def _build(scheduler):
     keys, values = _keys_values()
     table = WarpDriveHashTable(CAPACITY, group_size=GROUP_SIZE)
-    table.insert(keys, values, executor="ref", scheduler=scheduler)
+    table.insert(keys, values, kernels="ref", scheduler=scheduler)
     return table
 
 
@@ -65,9 +65,9 @@ class TestRandomVersusLockstep:
         probe = np.concatenate([keys, absent])
 
         table = _build(RandomScheduler(seed=seed))
-        ref_vals, ref_found = lockstep_table.query(probe, executor="ref")
+        ref_vals, ref_found = lockstep_table.query(probe, kernels="ref")
         got_vals, got_found = table.query(
-            probe, executor="ref", scheduler=RandomScheduler(seed=seed)
+            probe, kernels="ref", scheduler=RandomScheduler(seed=seed)
         )
         assert np.array_equal(got_found, ref_found), (
             f"scheduler seed {seed}: found masks differ"
@@ -82,11 +82,11 @@ class TestRandomVersusLockstep:
         victims = np.concatenate([keys[::3], np.array([0xDEAD], dtype=np.uint32)])
 
         ref = _build(RoundRobinScheduler())
-        ref_mask = ref.erase(victims, executor="ref", scheduler=RoundRobinScheduler())
+        ref_mask = ref.erase(victims, kernels="ref", scheduler=RoundRobinScheduler())
 
         table = _build(RandomScheduler(seed=seed))
         got_mask = table.erase(
-            victims, executor="ref", scheduler=RandomScheduler(seed=seed)
+            victims, kernels="ref", scheduler=RandomScheduler(seed=seed)
         )
         assert np.array_equal(got_mask, ref_mask), (
             f"scheduler seed {seed}: erase masks differ"
@@ -98,7 +98,7 @@ class TestRandomVersusLockstep:
         """Each unique key claims exactly one slot: CAS successes == n."""
         keys, values = _keys_values()
         table = WarpDriveHashTable(CAPACITY, group_size=GROUP_SIZE)
-        table.insert(keys, values, executor="ref", scheduler=RandomScheduler(seed=seed))
+        table.insert(keys, values, kernels="ref", scheduler=RandomScheduler(seed=seed))
         assert table.counter.cas_successes == N, (
             f"scheduler seed {seed}: {table.counter.cas_successes} CAS "
             f"successes for {N} unique inserts"
@@ -134,10 +134,10 @@ class TestContentionFreeWorkload:
         values = random_values(keys.shape[0], seed=16)
 
         ref = WarpDriveHashTable(CAPACITY, group_size=GROUP_SIZE)
-        ref.insert(keys, values, executor="ref", scheduler=RoundRobinScheduler())
+        ref.insert(keys, values, kernels="ref", scheduler=RoundRobinScheduler())
 
         table = WarpDriveHashTable(CAPACITY, group_size=GROUP_SIZE)
-        table.insert(keys, values, executor="ref", scheduler=RandomScheduler(seed=seed))
+        table.insert(keys, values, kernels="ref", scheduler=RandomScheduler(seed=seed))
 
         assert np.array_equal(np.asarray(table.slots), np.asarray(ref.slots)), (
             f"scheduler seed {seed}: slot arrays differ on a "
